@@ -28,89 +28,95 @@ from .moments import Cumulant4Tensor, _as_data, estimate_cum4, tucker_transform,
 from .second_order import Separator, Whitener, fix_signs, whiten
 from .signals import SignalMatrix, window_stack
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# theta_k = k pi / 10: the pair mass has period pi/2 in theta, so these are
+# five equispaced samples of one period in phi = 4 theta
+_PAIR_THETAS = np.arange(5) * (math.pi / 10.0)
 
 
-def _pair_diag_mass(C: np.ndarray, i: int, j: int, theta: float) -> float:
-    # Diagonal mass of the (i, j) pair after a Givens rotation by theta,
-    # evaluated from the five pair entries via the quartic multinomial
-    # expansion; entries outside the pair keep their diagonal values.
-    c, s = math.cos(theta), math.sin(theta)
-    t0 = C[i, i, i, i]
-    t1 = C[i, i, i, j]
-    t2 = C[i, i, j, j]
-    t3 = C[i, j, j, j]
-    t4 = C[j, j, j, j]
+def _pair_diag_mass(t, theta):
+    # Diagonal mass of an (i, j) pair after a Givens rotation by theta,
+    # evaluated from the five pair entries t = (C_iiii, C_iiij, C_iijj,
+    # C_ijjj, C_jjjj) via the quartic multinomial expansion; entries outside
+    # the pair keep their diagonal values.
+    t0, t1, t2, t3, t4 = t
+    c, s = np.cos(theta), np.sin(theta)
     di = c**4 * t0 + 4 * c**3 * s * t1 + 6 * c * c * s * s * t2 + 4 * c * s**3 * t3 + s**4 * t4
     dj = s**4 * t0 - 4 * s**3 * c * t1 + 6 * s * s * c * c * t2 - 4 * s * c**3 * t3 + c**4 * t4
     return di * di + dj * dj
 
 
-def _golden_max(fun, lo: float, hi: float, resolution: float = 1e-10) -> float:
-    # Coarse grid to land in the right basin, then golden-section refinement
-    # down to the angle resolution.
-    grid = np.linspace(lo, hi, 65)
-    vals = [fun(t) for t in grid]
-    best = int(np.argmax(vals))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, len(grid) - 1)]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > resolution:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    return (a + b) / 2.0
+def _cumulant_pair_angle(V, i, j):
+    # In phi = 4 theta the pair mass is a0 + Re(c1 e^{i phi} + c2 e^{2i phi})
+    # exactly, so the 5-point DFT F of one period gives c_m = 2 F_m / 5.  Its
+    # stationary points are the unit-circle roots of the derivative
+    # multiplied by 2 z^2 / i, the quartic 2 c2 z^4 + c1 z^3 - conj(c1) z -
+    # 2 conj(c2); phi = 0 stays a candidate so the gain is never negative.
+    t = (V[i, i, i, i], V[i, i, i, j], V[i, i, j, j], V[i, j, j, j], V[j, j, j, j])
+    _, c1, c2, _, _ = np.fft.fft(_pair_diag_mass(t, _PAIR_THETAS)) * 0.4
+    roots = np.roots([2.0 * c2, c1, 0.0, -np.conj(c1), -2.0 * np.conj(c2)])
+    z = np.concatenate(([1.0], np.exp(1j * np.angle(roots))))
+    gains = (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
+    best = int(np.argmax(gains))
+    return float(np.angle(z[best])) / 4.0, float(gains[best])
 
 
-def _givens(N: int, i: int, j: int, theta: float) -> np.ndarray:
-    R = np.eye(N)
-    c, s = math.cos(theta), math.sin(theta)
-    R[i, i] = c
-    R[i, j] = s
-    R[j, i] = -s
-    R[j, j] = c
-    return R
+def _joint_pair_angle(A, i, j):
+    # The summed squared diagonals, as a function of the rotated diagonal
+    # difference h cos 2 theta + o sin 2 theta, peak at 4 theta = atan2(2 h.o,
+    # h.h - o.o).  The gain reported is |sin theta|: this solver's tolerance
+    # bounds the size of a rotation, not the objective it adds.
+    h = A[:, i, i] - A[:, j, j]
+    o = A[:, i, j] + A[:, j, i]
+    theta = math.atan2(float(2.0 * (h @ o)), float(h @ h - o @ o)) / 4.0
+    return theta, abs(math.sin(theta))
+
+
+def _pair_sweep(A, axes, pair_angle, sweep_tolerance, max_sweeps):
+    # Jacobi sweeps over index pairs of the working array A, rotated in
+    # place on every axis in ``axes``.  pair_angle(A, i, j) returns the
+    # pair's Givens angle and its gain, the progress measure sweep_tolerance
+    # bounds.  A pair is rotated whenever its gain is positive; the sweeps
+    # stop once no pair of a sweep gained sweep_tolerance or more.
+    # Returns the accumulated rotation in rows form: row i of Q is the i-th
+    # new coordinate.
+    N = A.shape[axes[0]]
+    Q = np.eye(N)
+    planes = [Q] + [np.moveaxis(A, axis, 0) for axis in axes]  # views
+    for _ in range(max_sweeps):
+        best_gain = 0.0
+        for i in range(N):
+            for j in range(i + 1, N):
+                theta, gain = pair_angle(A, i, j)
+                if gain <= 0.0:
+                    continue
+                best_gain = max(best_gain, gain)
+                c, s = math.cos(theta), math.sin(theta)
+                for P in planes:
+                    Pi, Pj = P[i].copy(), P[j].copy()
+                    P[i] = c * Pi + s * Pj
+                    P[j] = -s * Pi + c * Pj
+        if best_gain < sweep_tolerance:
+            return Q
+    raise NotConverged(f"pair sweeps did not settle in {max_sweeps} sweeps")
 
 
 def jacobi_diagonalize(C: Cumulant4Tensor, sweep_tolerance: float = 1e-10, max_sweeps: int = 50) -> np.ndarray:
     """Diagonalize a cumulant tensor by pairwise Jacobi rotations.
 
     For every pair the rotation angle in (-pi/4, pi/4] maximizing the pair's
-    diagonal mass is found by a 1-D search; a rotation is applied only when
-    it strictly increases the mass.  Sweeps stop when the best available
-    single-rotation gain falls below ``sweep_tolerance``.
+    diagonal mass is found in closed form (Comon 1994): the mass is a
+    trigonometric polynomial of degree two in 4 theta, and its maximizer is
+    a root of a quartic.  A rotation is applied only when it strictly
+    increases the mass.  Sweeps stop when the best available single-rotation
+    gain falls below ``sweep_tolerance``; NotConverged is raised when
+    ``max_sweeps`` sweeps pass without that.
 
     Returns the orthogonal demixing rotation Q: tucker_transform(C, Q) is
     the (locally) most diagonal representative.
     """
-    N = C.dim
-    if N < 2:
+    if C.dim < 2:
         raise InvalidSpec("need at least a 2 x 2 x 2 x 2 tensor")
-    Q = np.eye(N)
-    current = C
-    for _ in range(max_sweeps):
-        best_gain = 0.0
-        for i in range(N):
-            for j in range(i + 1, N):
-                V = current.values
-                base = _pair_diag_mass(V, i, j, 0.0)
-                theta = _golden_max(lambda t: _pair_diag_mass(V, i, j, t), -math.pi / 4, math.pi / 4)
-                gain = _pair_diag_mass(V, i, j, theta) - base
-                if gain > 0.0:
-                    R = _givens(N, i, j, theta)
-                    current = tucker_transform(current, R)
-                    Q = R @ Q
-                    best_gain = max(best_gain, gain)
-        if best_gain < sweep_tolerance:
-            break
-    return Q
+    return _pair_sweep(np.array(C.values), (0, 1, 2, 3), _cumulant_pair_angle, sweep_tolerance, max_sweeps)
 
 
 def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
@@ -118,41 +124,17 @@ def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int 
 
     Each pair rotation maximizes the summed squared diagonals of the whole
     set in closed form, so the off-diagonal objective never increases.
-    Returns orthogonal Q whose columns are the joint eigenvectors:
-    Q.T A_k Q is (as nearly as possible) diagonal for every k.
+    Sweeps stop when no rotation of a sweep has |sin theta| of
+    ``sweep_tolerance`` or more; NotConverged is raised when ``max_sweeps``
+    sweeps pass without that.  Returns orthogonal Q whose columns are the joint
+    eigenvectors: Q.T A_k Q is (as nearly as possible) diagonal for every k.
     """
     A = np.array([np.asarray(M, dtype=float) for M in matrices])
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise DimensionMismatch("need a set of square matrices of one size")
     A = (A + A.transpose(0, 2, 1)) / 2.0
-    N = A.shape[1]
-    Q = np.eye(N)
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(N):
-            for j in range(i + 1, N):
-                h = A[:, i, i] - A[:, j, j]
-                o = A[:, i, j] + A[:, j, i]
-                ton = float(h @ h - o @ o)
-                toff = float(2.0 * (h @ o))
-                theta = 0.5 * math.atan2(toff, ton + math.hypot(ton, toff))
-                if abs(math.sin(theta)) <= sweep_tolerance:
-                    continue
-                rotated = True
-                c, s = math.cos(theta), math.sin(theta)
-                # rows, then columns, of the (i, j) plane for every matrix
-                Ai, Aj = A[:, i, :].copy(), A[:, j, :].copy()
-                A[:, i, :] = c * Ai + s * Aj
-                A[:, j, :] = -s * Ai + c * Aj
-                Ai, Aj = A[:, :, i].copy(), A[:, :, j].copy()
-                A[:, :, i] = c * Ai + s * Aj
-                A[:, :, j] = -s * Ai + c * Aj
-                Qi, Qj = Q[:, i].copy(), Q[:, j].copy()
-                Q[:, i] = c * Qi + s * Qj
-                Q[:, j] = -s * Qi + c * Qj
-        if not rotated:
-            break
-    return fix_signs(Q)
+    Q = _pair_sweep(A, (1, 2), _joint_pair_angle, sweep_tolerance, max_sweeps)
+    return fix_signs(Q.T)
 
 
 def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:

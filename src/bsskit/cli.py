@@ -35,7 +35,7 @@ import numpy as np
 
 from .adaptive import AdaptConfig, run_separation, stability_check
 from .algebraic import deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init, unimodal_equalizer
-from .errors import BssError, InvalidPath, InvalidSpec
+from .errors import BssError, Diverged, InvalidPath, InvalidSpec
 from .fixedpoint import cma_step, deflate_extract
 from .metrics import DB_CEIL, DB_FLOOR, separation_index
 from .moments import estimate_cum4
@@ -49,6 +49,9 @@ ALGORITHMS = ("amuse", "adaptive", "fastica", "jade", "jacobi", "sea", "cma",
 MIXING_NAMES = ("identity", "random_orthogonal", "static", "noisy", "convolutive")
 
 _SCORE_NAMES = ("cubic", "tanh", "sign_switching")
+
+# fastica's gradient variant needs a step size mu, which the scenario has no key for
+_FASTICA_VARIANTS = ("newton", "fixed_point")
 
 # per-algorithm parameter schema: name -> coercion type
 ALGO_PARAMS = {
@@ -95,14 +98,15 @@ def _format_value(value):
 
 
 def _coerce(key, raw, kind):
+    if kind not in (int, float):
+        return raw
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
-    return raw
+    if not np.isfinite(value):  # records are strict JSON, which has no NaN or infinity
+        raise ConfigError(f"{key}: expected a finite {kind.__name__}, got {raw!r}")
+    return value
 
 
 def _key_type(key, algorithm):
@@ -211,6 +215,9 @@ def validate_scenario(scenario):
     score = params.get("score")
     if score is not None and score not in _SCORE_NAMES:
         raise ConfigError(f"algorithm.score must be one of {_SCORE_NAMES}, got {score!r}")
+    variant = params.get("variant")
+    if variant is not None and variant not in _FASTICA_VARIANTS:
+        raise ConfigError(f"algorithm.variant must be one of {_FASTICA_VARIANTS}, got {variant!r}")
     return sources
 
 
@@ -400,6 +407,8 @@ def run_experiment(scenario, sources, extra=None):
         start = time.perf_counter()
         try:
             index, iters, verdict = _run_once(scenario, sources, rep)
+            if not np.isfinite(index):
+                raise Diverged(f"separation index is {index}")
             record["index_db"] = float(index)
             record["iters"] = iters
             record["verdict"] = verdict
@@ -413,7 +422,7 @@ def run_experiment(scenario, sources, extra=None):
 
 
 def _emit(records, out_path, csv_path):
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    lines = [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in records]
     text = "".join(line + "\n" for line in lines)
     if out_path:
         with open(out_path, "w", encoding="ascii") as fh:

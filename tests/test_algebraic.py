@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsskit import (
     Cumulant4Tensor,
     DegenerateSpectrum,
     InvalidSpec,
     MixingModel,
+    NotConverged,
     RankDeficient,
     SourceSpec,
     deterministic_cm,
@@ -96,12 +99,72 @@ def test_jacobi_never_loses_diagonal_mass():
         assert after >= before - 1e-12
 
 
+def test_jacobi_leaves_no_pair_gain_on_a_fine_grid():
+    # reference pair mass, evaluated independently of the solver: the 2^4
+    # pair block contracted with the rotated coordinate vectors on a grid
+    theta = -math.pi / 4 + (math.pi / 2) * np.arange(1, 4098) / 4097
+    ci, si = np.cos(theta), np.sin(theta)
+    for n, seed in ((3, 60), (4, 61), (4, 62)):
+        A = generate_sources([SourceSpec("uniform", seed=seed * 10 + k) for k in range(n)], 5000)
+        _, Z = whiten(mix(MixingModel("static", matrix=random_orthogonal(n, seed)), A))
+        C = estimate_cum4(Z)
+        V = tucker_transform(C, jacobi_diagonalize(C)).values
+        for i in range(n):
+            for j in range(i + 1, n):
+                block = V[np.ix_(*[[i, j]] * 4)]
+                mass = 0.0
+                for r in (np.array([ci, si]), np.array([-si, ci])):
+                    mass = mass + np.einsum("abcd,ag,bg,cg,dg->g", block, r, r, r, r) ** 2
+                assert mass.max() - (V[i, i, i, i] ** 2 + V[j, j, j, j] ** 2) <= 1e-10
+
+
+@st.composite
+def rotated_diagonal(draw):
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    magnitudes = 0.3 + np.cumsum(gaps)
+    c4s = np.array(signs) * magnitudes[list(order)]
+    return c4s, random_orthogonal(n, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rotated_diagonal())
+def test_pair_sweeps_undo_a_random_rotation(case):
+    c4s, R = case
+    Q = jacobi_diagonalize(tucker_transform(diag_tensor(c4s), R))
+    assert signed_permutation_gap(Q @ R) < 1e-6
+    # the eigenmatrices JADE would see for this tensor: c4_k e_k e_k^T, rotated
+    mats = [c * np.outer(R[:, k], R[:, k]) for k, c in enumerate(c4s)]
+    assert signed_permutation_gap(joint_diagonalize(mats).T @ R) < 1e-6
+
+
 # ---------------------------------------------------- joint diagonalization
 
 
 def test_joint_diagonalize_single_diagonal_matrix():
     Q = joint_diagonalize([np.diag([3.0, 1.0, 2.0])])
     assert np.array_equal(Q, np.eye(3))
+
+
+def test_joint_diagonalize_rotates_a_pure_off_diagonal_pair():
+    # equal diagonals: the best rotation sits at the pi/4 end of the range
+    M = np.array([[0.0, 1.0], [1.0, 0.0]])
+    Q = joint_diagonalize([M])
+    assert np.allclose(Q.T @ M @ Q, np.diag([1.0, -1.0]), atol=1e-12)
+
+
+def test_pair_sweeps_raise_at_the_sweep_cap():
+    R = random_orthogonal(3, 49)
+    mats = [R @ np.diag([3.0, 1.0, -2.0]) @ R.T]
+    with pytest.raises(NotConverged):
+        joint_diagonalize(mats, max_sweeps=0)
+    with pytest.raises(NotConverged):
+        joint_diagonalize(mats, max_sweeps=1)
+    C = tucker_transform(diag_tensor([-2.0, -1.2, 1.0]), R)
+    with pytest.raises(NotConverged):
+        jacobi_diagonalize(C, max_sweeps=1)
 
 
 def test_joint_diagonalize_recovers_shared_eigenbasis():

@@ -40,6 +40,16 @@ seed = 5
 repetitions = 1
 """
 
+THREE_BPSK = """\
+source.1.kind = bpsk
+source.2.kind = bpsk
+source.3.kind = bpsk
+samples = 2000
+mixing = random_orthogonal
+seed = 1
+repetitions = 1
+"""
+
 
 @pytest.fixture(autouse=True)
 def _no_seed_override(monkeypatch):
@@ -65,6 +75,9 @@ def test_strict_parsing_rejects_malformed_scenarios(tmp_path):
         parse_scenario("samples = many")
     with pytest.raises(ConfigError):
         parse_scenario("mixing.matrix = 1 2 ; 3")
+    with pytest.raises(ConfigError):
+        # records are strict JSON, so a parameter cannot carry NaN into them
+        parse_scenario("algorithm = cma\nalgorithm.step_size = nan")
     with pytest.raises(ConfigError):
         # parameter belonging to a different algorithm
         parse_scenario("algorithm = jade\nalgorithm.lag = 1")
@@ -155,6 +168,7 @@ def test_sweep_rejects_unknown_or_matrix_parameters(tmp_path):
     scenario = put(tmp_path, ADAPTIVE_SCENARIO)
     assert main(["sweep", scenario, "--param", "algorithm.bogus", "--values", "1"]) == 2
     assert main(["sweep", scenario, "--param", "mixing.matrix", "--values", "1"]) == 2
+    assert main(["sweep", scenario, "--param", "algorithm.step_size", "--values", "0.01,inf"]) == 2
 
 
 def test_generate_writes_consistent_signal_files(tmp_path):
@@ -216,3 +230,27 @@ def test_scenario_id_ignores_formatting_but_not_values():
     validate_scenario(bumped)
     assert scenario_id(base) != scenario_id(bumped)
     assert a == [("bpsk", None), ("bpsk", None)]
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("algorithm, status", [
+    ("algorithm = jacobi\nalgorithm.max_sweeps = 0\n", "NotConverged"),
+    ("algorithm = cma\nalgorithm.step_size = 50\n", "Diverged"),
+], ids=["jacobi_sweep_cap", "cma_diverging"])
+def test_capped_or_diverging_runs_are_never_ok(tmp_path, algorithm, status):
+    out = tmp_path / "r.jsonl"
+    assert main(["run", put(tmp_path, THREE_BPSK + algorithm), "--out", str(out)]) == 3
+    recs = [_strict_json(line) for line in out.read_text().splitlines()]
+    assert [(rec["status"], rec["index_db"]) for rec in recs] == [(status, None)]
+
+
+def test_fastica_variant_without_a_step_size_key_is_rejected(tmp_path):
+    text = THREE_BPSK + "algorithm = fastica\nalgorithm.variant = gradient\n"
+    with pytest.raises(ConfigError):
+        validate_scenario(parse_scenario(text))
+    assert main(["run", put(tmp_path, text)]) == 2
