@@ -59,6 +59,7 @@ from .metrics import GlobalSystem, global_system, resolve_permutation_scale, sep
 from .moments import (
     Cumulant4Tensor,
     LaggedCovariance,
+    cumulant_matrix,
     edgeworth_pdf,
     estimate_cum4,
     hermite,

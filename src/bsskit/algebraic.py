@@ -24,7 +24,7 @@ from .errors import (
     ZeroContraction,
     ZeroUpdate,
 )
-from .moments import Cumulant4Tensor, _as_data, estimate_cum4, tucker_transform, unfold
+from .moments import Cumulant4Tensor, _as_data, cumulant_matrix, estimate_cum4, tucker_transform, unfold
 from .second_order import Separator, Whitener, fix_signs, whiten
 from .signals import SignalMatrix, window_stack
 
@@ -362,7 +362,7 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
 def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
     # Dominant-magnitude eigenmatrix of the cumulant 2x2 unfolding of
     # sphered data, via iteration on the implicit operator
-    #   V -> E[(u^T V u) u u^T] - tr(V) I - 2 V,
+    #   V -> cumulant_matrix(X, V),
     # which never materializes the K^4 tensor.  For i.i.d. finite-alphabet
     # window content the operator is -|c4| times the source-coordinate
     # diagonal of V, so its extremal eigenspace is massively degenerate and
@@ -370,7 +370,6 @@ def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
     # therefore followed by a matrix squaring: V @ V stays inside that
     # eigenspace while squaring the hidden diagonal profile, so the iterate
     # collapses onto a single rank-one vertex at double-exponential rate.
-    K, T = X.shape
     x0 = X[:, 0]
     V = np.outer(x0, x0)  # anisotropic start; its hidden profile has a generic argmax
     norm = np.linalg.norm(V)
@@ -379,9 +378,7 @@ def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
     V /= norm
     lam = 0.0
     for _ in range(iterations):
-        s = np.einsum("it,ij,jt->t", X, V, X, optimize=True)
-        W = (X * s) @ X.T / T
-        W -= np.trace(V) * np.eye(K) + 2.0 * V
+        W = cumulant_matrix(X, V)
         W = (W + W.T) / 2.0
         norm = np.linalg.norm(W)
         if norm < 1e-15:

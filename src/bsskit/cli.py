@@ -358,9 +358,17 @@ def _run_once(scenario, sources, rep):
         g = np.zeros(X.shape[0])
         g[0] = 1.0
         epochs = params.get("epochs", 1)
-        for _ in range(epochs):
-            for t in range(X.shape[1]):
-                g = cma_step(g, X[:, t], params.get("step_size", 0.01))
+        for epoch in range(epochs):
+            # a diverging run overflows to inf and then NaN; stop at the first
+            # such operation instead of iterating on NaN to the end
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    for t in range(X.shape[1]):
+                        g = cma_step(g, X[:, t], params.get("step_size", 0.01))
+            except FloatingPointError as exc:
+                raise Diverged(f"cma diverged in epoch {epoch}: {exc}") from exc
+            if not np.all(np.isfinite(g)):
+                raise Diverged(f"cma output is not finite after epoch {epoch}")
         iters = epochs
         index = separation_index((g @ whitener.matrix @ H)[None, :])
     elif algorithm == "rank1_sea":

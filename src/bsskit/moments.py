@@ -17,7 +17,11 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, LagTooLarge
 
-_PERMS4 = list(itertools.permutations(range(4)))
+_INV_PERMS4 = [tuple(np.argsort(perm)) for perm in itertools.permutations(range(4))]
+
+# Samples per pair-product block in estimate_cum4: the block buffer holds
+# N(N+1)/2 x 4 096 floats (1.2 MB at N = 8), small next to the data itself.
+_CUM4_BLOCK = 4096
 
 _VAR_FLOOR = 1e-12
 
@@ -32,19 +36,26 @@ def _as_data(U) -> np.ndarray:
 
 
 def _symmetrize4(values: np.ndarray) -> np.ndarray:
-    # Average over all 24 index permutations, then write the single averaged
-    # float into every permuted slot so equality across permutations is exact
-    # rather than up to rounding.
-    N = values.shape[0]
-    sym = np.empty_like(values)
-    for idx in itertools.combinations_with_replacement(range(N), 4):
-        total = 0.0
-        for perm in _PERMS4:
-            total += values[idx[perm[0]], idx[perm[1]], idx[perm[2]], idx[perm[3]]]
-        v = total / 24.0
-        for perm in _PERMS4:
-            sym[idx[perm[0]], idx[perm[1]], idx[perm[2]], idx[perm[3]]] = v
-    return sym
+    # Average over all 24 index permutations, then gather every entry from
+    # its sorted-index representative, so that entries at permuted index
+    # quadruples compare equal exactly rather than up to rounding.  The
+    # transpose by the inverse of perm holds values[idx[perm]] at idx, so
+    # each entry sums the same terms in the same order as a per-entry loop
+    # over itertools.permutations would.
+    total = values.transpose(_INV_PERMS4[0]).copy()
+    for inv in _INV_PERMS4[1:]:
+        total += values.transpose(inv)
+    total /= 24.0
+    return total.ravel()[_sorted_representative(values.shape[0])].reshape(values.shape)
+
+
+@lru_cache(maxsize=8)
+def _sorted_representative(N: int) -> np.ndarray:
+    # Flat index of sorted(i, j, k, l) for every flat index of (i, j, k, l).
+    quads = np.sort(np.indices((N,) * 4).reshape(4, -1), axis=0)
+    rep = np.ravel_multi_index(tuple(quads), (N,) * 4)
+    rep.setflags(write=False)
+    return rep
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,29 @@ def estimate_cum4(U) -> Cumulant4Tensor:
 
     cum(i,j,k,l) = m4(i,j,k,l) - m2(i,j) m2(k,l) - m2(i,k) m2(j,l)
                    - m2(i,l) m2(j,k), with mean-removed sample moments.
+
+    m4 comes from the Gram matrix of the N(N+1)/2 pair products x_i x_j
+    (i <= j), accumulated over blocks of samples, so no N^2 x T array is
+    ever built.
     """
     X = _as_data(U)
-    T = X.shape[1]
+    N, T = X.shape
     X = X - X.mean(axis=1, keepdims=True)
     m2 = X @ X.T / T
-    m4 = np.einsum("it,jt,kt,lt->ijkl", X, X, X, X, optimize=True) / T
+    rows = np.cumsum([0] + list(range(N, 0, -1)))  # first pair row of each i
+    pairs = np.empty((rows[-1], min(T, _CUM4_BLOCK)))
+    gram = np.zeros((rows[-1], rows[-1]))
+    for start in range(0, T, _CUM4_BLOCK):
+        block = X[:, start:start + _CUM4_BLOCK]
+        P = pairs[:, :block.shape[1]]
+        for i in range(N):
+            np.multiply(block[i], block[i:], out=P[rows[i]:rows[i + 1]])
+        gram += P @ P.T
+    gram /= T
+    iu, ju = np.triu_indices(N)  # the pair rows' (i, j), in row order
+    pair_of = np.empty((N, N), dtype=np.intp)
+    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(rows[-1])
+    m4 = gram[np.ix_(pair_of.ravel(), pair_of.ravel())].reshape(N, N, N, N)
     cum = (
         m4
         - np.einsum("ij,kl->ijkl", m2, m2)
@@ -117,6 +145,22 @@ def estimate_cum4(U) -> Cumulant4Tensor:
         - np.einsum("il,jk->ijkl", m2, m2)
     )
     return Cumulant4Tensor(cum)
+
+
+def cumulant_matrix(U, M) -> np.ndarray:
+    """Cumulant matrix of sphered data: E[(x^T M x) x x^T] - tr(M) I - 2 M.
+
+    For symmetric M this is the 2x2 unfolding of the cumulant tensor
+    applied to M, computed from the data without building the tensor
+    (Cardoso & Souloumiac 1993).  Exact only when the data are sphered
+    (zero mean, identity covariance).
+    """
+    X = _as_data(U)
+    K, T = X.shape
+    s = np.einsum("it,ij,jt->t", X, M, X, optimize=True)
+    W = (X * s) @ X.T / T
+    W -= np.trace(M) * np.eye(K) + 2.0 * M
+    return W
 
 
 def kurtosis(y) -> float:
@@ -138,7 +182,9 @@ def tucker_transform(C: Cumulant4Tensor, G) -> Cumulant4Tensor:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[1] != C.dim:
         raise DimensionMismatch(f"mode matrix {G.shape} does not match tensor dim {C.dim}")
-    out = np.einsum("abcd,ia,jb,kc,ld->ijkl", C.values, G, G, G, G, optimize=True)
+    out = C.values
+    for _ in range(4):  # each mode product moves the new axis to the end
+        out = np.tensordot(out, G, axes=([0], [1]))
     return Cumulant4Tensor(out)
 
 

@@ -1,15 +1,19 @@
 """Covariance, fourth-order cumulant tensors, and density expansions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsskit import (
     Cumulant4Tensor,
     DegenerateChannel,
     LagTooLarge,
     SourceSpec,
+    cumulant_matrix,
     edgeworth_pdf,
     estimate_cum4,
     generate_sources,
@@ -20,7 +24,9 @@ from bsskit import (
     tensor_norm,
     tucker_transform,
     unfold,
+    whiten,
 )
+from bsskit.moments import _CUM4_BLOCK, _symmetrize4
 
 
 def exact_tensor(c4s):
@@ -35,6 +41,34 @@ def exact_tensor(c4s):
 def rot(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def reference_cum4(X):
+    """Unsymmetrized cumulant tensor from one 4-operand einsum over all samples."""
+    T = X.shape[1]
+    X = X - X.mean(axis=1, keepdims=True)
+    m2 = X @ X.T / T
+    m4 = np.einsum("it,jt,kt,lt->ijkl", X, X, X, X, optimize=True) / T
+    return (m4 - np.einsum("ij,kl->ijkl", m2, m2) - np.einsum("ik,jl->ijkl", m2, m2)
+            - np.einsum("il,jk->ijkl", m2, m2))
+
+
+def reference_symmetrize4(values):
+    """Per-entry loop: average the 24 permuted entries, write the mean to each."""
+    sym = np.empty_like(values)
+    perms = list(itertools.permutations(range(4)))
+    for idx in itertools.combinations_with_replacement(range(values.shape[0]), 4):
+        total = 0.0
+        for perm in perms:
+            total += values[tuple(idx[p] for p in perm)]
+        for perm in perms:
+            sym[tuple(idx[p] for p in perm)] = total / 24.0
+    return sym
+
+
+def random_orthogonal(n, seed):
+    Q, R = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
 
 
 def test_covariance_zero_channel():
@@ -91,6 +125,59 @@ def test_cum4_super_symmetry_spot_check():
         idx = tuple(rng.integers(0, 3, size=4))
         for perm in itertools.permutations(idx):
             assert C.values[perm] == C.values[idx]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+@pytest.mark.parametrize("samples", [
+    _CUM4_BLOCK // 3, _CUM4_BLOCK, _CUM4_BLOCK + 1, 3 * _CUM4_BLOCK + 517,
+], ids=["below_one_block", "one_block", "one_block_plus_one", "several_blocks_and_a_part"])
+def test_cum4_matches_the_einsum_reference(n, samples):
+    rng = np.random.default_rng(100 * n + samples % 97)
+    X = rng.uniform(-1.0, 1.0, (n, samples)) ** 3 + rng.standard_normal((n, 1))  # off-centre, skewed
+    ref = reference_symmetrize4(reference_cum4(X))
+    assert np.max(np.abs(estimate_cum4(X).values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_symmetrize4_matches_the_per_entry_loop(n):
+    values = np.random.default_rng(16 + n).standard_normal((n, n, n, n))
+    sym = _symmetrize4(values)
+    assert np.array_equal(sym, reference_symmetrize4(values))  # same sums in the same order
+    for idx in itertools.product(range(n), repeat=4):
+        assert all(sym[perm] == sym[idx] for perm in itertools.permutations(idx))
+
+
+def test_cumulant_matrix_applies_the_2x2_unfolding():
+    A = generate_sources([SourceSpec("uniform", seed=17), SourceSpec("bpsk", seed=18),
+                          SourceSpec("laplace", seed=19)], 20_000)
+    _, Z = whiten(np.array([[1.0, 0.4, -0.2], [0.3, 1.0, 0.5], [-0.6, 0.1, 1.0]]) @ A.data)
+    B = unfold(estimate_cum4(Z), "2x2")
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        M = rng.standard_normal((3, 3))
+        M = M + M.T
+        assert np.max(np.abs(cumulant_matrix(Z, M) - (B @ M.ravel()).reshape(3, 3))) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 3 * _CUM4_BLOCK), st.integers(0, 2**32 - 1))
+def test_cum4_is_multilinear(n, samples, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.laplace(size=(n, samples)) + rng.standard_normal((n, 1))
+    Q = random_orthogonal(n, seed)
+    direct = estimate_cum4(Q @ X).values
+    assert np.max(np.abs(direct - tucker_transform(estimate_cum4(X), Q).values)) < 1e-10
+
+
+def test_cum4_never_builds_a_pair_product_array():
+    X = np.random.default_rng(21).standard_normal((4, 200_000))
+    tracemalloc.start()
+    try:
+        estimate_cum4(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * X.nbytes
 
 
 def test_tensor_requires_hypercube_and_finite():
