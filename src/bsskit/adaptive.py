@@ -22,6 +22,10 @@ _DET_FLOOR = 1e-12
 _DIVERGENCE_NORM = 1e6
 
 MODES = ("plain", "relative", "nonlinear_pca", "anti_hebbian")
+INITS = ("identity", "random_orthogonal")
+
+_ANTI_HEBBIAN_SCORE = "tanh"  # the anti-Hebbian rule's second score family g
+_PAIR_MARGIN = 0.05  # see stability_check
 
 
 @dataclass
@@ -39,7 +43,6 @@ class AdaptConfig:
     convergence_tolerance: float = 1e-6
     init: str = "identity"
     init_seed: int = 0
-    anti_hebbian_kind: str = "tanh"
 
     def __post_init__(self):
         # zero is allowed so parameter sweeps can include the no-update row
@@ -51,8 +54,8 @@ class AdaptConfig:
             raise InvalidSpec("max_iterations must be at least 1")
         if self.convergence_tolerance <= 0:
             raise InvalidSpec("convergence_tolerance must be positive")
-        if self.init not in ("identity", "random_orthogonal"):
-            raise InvalidSpec(f"init must be 'identity' or 'random_orthogonal', got {self.init!r}")
+        if self.init not in INITS:
+            raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
         G, _ = np.linalg.qr(rng.standard_normal((N, N)))
     g_scores = None
     if cfg.mode == "anti_hebbian":
-        g_scores = [make_score(cfg.anti_hebbian_kind) for _ in range(N)]
+        g_scores = [make_score(_ANTI_HEBBIAN_SCORE) for _ in range(N)]
 
     record = all(s.has_log_phi for s in scores)
     trajectory = []
@@ -207,7 +210,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
     return Separator(matrix=G), trajectory
 
 
-def stability_check(Y, scores, pair_margin: float = 0.05) -> StabilityReport:
+def stability_check(Y, scores) -> StabilityReport:
     """Evaluate the separating-point stability conditions on output samples.
 
     Checks, from the same sample: m_i + 1 > 0, k_i > 0,
@@ -216,7 +219,7 @@ def stability_check(Y, scores, pair_margin: float = 0.05) -> StabilityReport:
 
     The pairwise product equals exactly 1 for Gaussian channels, so sampling
     noise alone would flip that verdict from run to run; the condition is
-    therefore required to clear 1 by ``pair_margin``, and boundary cases
+    therefore required to clear 1 by _PAIR_MARGIN, and boundary cases
     classify as unstable.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -247,9 +250,9 @@ def stability_check(Y, scores, pair_margin: float = 0.05) -> StabilityReport:
                     f"{sigma2[i] * sigma2[j] * k[i] * k[j]:.4f} <= 1"
                 )
             prod = (1.0 + kappa[i]) * (1.0 + kappa[j])
-            if not prod > 1.0 + pair_margin:
+            if not prod > 1.0 + _PAIR_MARGIN:
                 violations.append(
-                    f"(1 + kappa[{i}])(1 + kappa[{j}]) = {prod:.4f} <= 1 + {pair_margin}"
+                    f"(1 + kappa[{i}])(1 + kappa[{j}]) = {prod:.4f} <= 1 + {_PAIR_MARGIN}"
                 )
     return StabilityReport(
         sigma2=sigma2,

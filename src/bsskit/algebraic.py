@@ -28,6 +28,8 @@ from .moments import Cumulant4Tensor, _as_data, cumulant_matrix, estimate_cum4, 
 from .second_order import Separator, Whitener, fix_signs, whiten
 from .signals import SignalMatrix, window_stack
 
+UNIMODAL_INITS = ("fourth_order", "zero")
+
 # theta_k = k pi / 10: the pair mass has period pi/2 in theta, so these are
 # five equispaced samples of one period in phi = 4 theta
 _PAIR_THETAS = np.arange(5) * (math.pi / 10.0)
@@ -210,7 +212,7 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
             raise ZeroContraction(f"contraction norm {norm:.3e} vanished")
         g_new = t / norm
         if 1.0 - abs(float(g_new @ g)) < tolerance:
-            g = g_new if g_new[int(np.argmax(np.abs(g_new)))] >= 0 else -g_new
+            g = fix_signs(g_new)
             lam = float(np.einsum("ijkl,i,j,k,l->", V, g, g, g, g))
             return lam, g
         g = g_new
@@ -349,13 +351,13 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
             f"{abs(eigvals[order[0]]):.6e} and {abs(eigvals[order[1]]):.6e}"
         )
     lam = float(eigvals[order[0]])
-    w = fix_signs(eigvecs[:, order[0]][:, None])[:, 0]
+    w = fix_signs(eigvecs[:, order[0]])
     W = w.reshape(N, N)
     W = (W + W.T) / 2.0
     wvals, wvecs = np.linalg.eigh(W)
     widx = int(np.argmax(np.abs(wvals)))
     varsigma = float(wvals[widx])
-    g0 = fix_signs(wvecs[:, widx][:, None])[:, 0]
+    g0 = fix_signs(wvecs[:, widx])
     return Rank1Init(g0=g0, eigenvalue=lam, varsigma=varsigma, matrix=W)
 
 
@@ -438,8 +440,8 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
         raise InvalidSpec("need mu1 > 0 and mu2 >= 0")
     if epochs < 1:
         raise InvalidSpec("epochs must be at least 1")
-    if init not in ("fourth_order", "zero"):
-        raise InvalidSpec(f"init must be 'fourth_order' or 'zero', got {init!r}")
+    if init not in UNIMODAL_INITS:
+        raise InvalidSpec(f"init must be one of {UNIMODAL_INITS}, got {init!r}")
     stream = U if isinstance(U, SignalMatrix) else SignalMatrix(U)
     windows = window_stack(stream, L)
     whitener, sphered = whiten(windows)
@@ -569,7 +571,7 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     W = (W + W.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(W)
     k = int(np.argmax(np.abs(eigvals)))
-    v = fix_signs(eigvecs[:, k][:, None])[:, 0]
+    v = fix_signs(eigvecs[:, k])
     g = math.sqrt(abs(float(eigvals[k]))) * v
 
     damping = 1e-10
@@ -598,7 +600,7 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
         if not accepted:
             break
 
-    g = fix_signs(g[:, None])[:, 0]
+    g = fix_signs(g)
     residual = float(np.linalg.norm((g @ X) ** 2 - 1.0) / math.sqrt(T))
     # report the quadratic form actually attained, kept inside the LS family
     w_final = np.outer(g, g).reshape(N * N)

@@ -30,43 +30,22 @@ import os
 import re
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
-from .adaptive import AdaptConfig, run_separation, stability_check
-from .algebraic import deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init, unimodal_equalizer
+from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
+from .algebraic import (UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init,
+                        unimodal_equalizer)
 from .errors import BssError, Diverged, InvalidPath, InvalidSpec
-from .fixedpoint import cma_step, deflate_extract
+from .fixedpoint import VARIANTS, cma, deflate_extract
 from .metrics import DB_CEIL, DB_FLOOR, separation_index
 from .moments import estimate_cum4
-from .scores import make_score
-from .second_order import Separator, amuse, whiten
-from .signals import SOURCE_KINDS, MixingModel, SignalMatrix, SourceSpec, generate_sources, mix
-
-ALGORITHMS = ("amuse", "adaptive", "fastica", "jade", "jacobi", "sea", "cma",
-              "rank1_sea", "unimodal", "det_cm")
+from .scores import SCORE_KINDS, make_score
+from .second_order import amuse, whiten
+from .signals import SOURCE_KINDS, MixingModel, SourceSpec, generate_sources, mix
 
 MIXING_NAMES = ("identity", "random_orthogonal", "static", "noisy", "convolutive")
-
-_SCORE_NAMES = ("cubic", "tanh", "sign_switching")
-
-# fastica's gradient variant needs a step size mu, which the scenario has no key for
-_FASTICA_VARIANTS = ("newton", "fixed_point")
-
-# per-algorithm parameter schema: name -> coercion type
-ALGO_PARAMS = {
-    "amuse": {"lag": int, "gap_tolerance": float},
-    "adaptive": {"step_size": float, "mode": str, "score": str, "epochs": int,
-                 "convergence_tolerance": float, "init": str, "init_seed": int},
-    "fastica": {"variant": str, "score": str, "max_iterations": int, "tolerance": float},
-    "jade": {},
-    "jacobi": {"sweep_tolerance": float, "max_sweeps": int},
-    "sea": {"max_iterations": int, "tolerance": float},
-    "cma": {"step_size": float, "epochs": int},
-    "rank1_sea": {"max_iterations": int, "tolerance": float},
-    "unimodal": {"mu1": float, "mu2": float, "window_length": int, "epochs": int, "init": str},
-    "det_cm": {"max_refinements": int},
-}
 
 _TOP_KEYS = {"seed": int, "samples": int, "repetitions": int, "algorithm": str, "mixing": str}
 
@@ -98,6 +77,9 @@ def _format_value(value):
 
 
 def _coerce(key, raw, kind):
+    """Value of one key: int and float are converted, a tuple lists the allowed strings."""
+    if isinstance(kind, tuple) and raw not in kind:
+        raise ConfigError(f"{key} must be one of {kind}, got {raw!r}")
     if kind not in (int, float):
         return raw
     try:
@@ -115,14 +97,13 @@ def _key_type(key, algorithm):
         return _TOP_KEYS[key]
     m = _SOURCE_KEY.match(key)
     if m:
-        return str if m.group(2) == "kind" else float
+        return SOURCE_KINDS if m.group(2) == "kind" else float
     if key == "mixing.matrix" or _TAP_KEY.match(key):
         return "matrix"
     if key == "mixing.noise_std":
         return float
-    if key.startswith("algorithm.") and algorithm in ALGO_PARAMS:
-        name = key[len("algorithm."):]
-        return ALGO_PARAMS[algorithm].get(name)
+    if key.startswith("algorithm.") and algorithm in ALGORITHMS:
+        return ALGORITHMS[algorithm][1].get(key[len("algorithm."):])
     return None
 
 
@@ -167,8 +148,13 @@ def validate_scenario(scenario):
         raise ConfigError("samples must be >= 1")
     if scenario["repetitions"] < 0:
         raise ConfigError("repetitions must be >= 0")
-    if scenario["algorithm"] not in ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {scenario['algorithm']!r}")
+    algorithm = _coerce("algorithm", scenario["algorithm"], tuple(ALGORITHMS))
+    # a sweep over the algorithm itself keeps keys parsed for another one
+    for key in (k for k in scenario if k.startswith("algorithm.")):
+        kind = _key_type(key, algorithm)
+        if kind is None:
+            raise ConfigError(f"{key} is not a parameter of algorithm {algorithm}")
+        _coerce(key, scenario[key], kind)
 
     mixing = scenario["mixing"]
     if mixing not in MIXING_NAMES and not _COND_MIXING.match(mixing):
@@ -190,6 +176,8 @@ def validate_scenario(scenario):
             raise ConfigError("all mixing taps must share one shape")
     elif taps:
         raise ConfigError("mixing.tap.* only valid for convolutive mixing")
+    if mixing == "convolutive" and algorithm != "unimodal":
+        raise ConfigError(f"{algorithm} expects an instantaneous mixture; only unimodal equalizes")
 
     indices = sorted(int(_SOURCE_KEY.match(k).group(1)) for k in scenario
                      if _SOURCE_KEY.match(k) and k.endswith(".kind"))
@@ -198,8 +186,6 @@ def validate_scenario(scenario):
     sources = []
     for i in indices:
         kind = scenario[f"source.{i}.kind"]
-        if kind not in SOURCE_KINDS:
-            raise ConfigError(f"source.{i}.kind must be one of {SOURCE_KINDS}, got {kind!r}")
         rho = scenario.get(f"source.{i}.ar_coefficient")
         if kind != "ar1" and rho is not None:
             raise ConfigError(f"source.{i}.ar_coefficient only valid for ar1")
@@ -210,14 +196,6 @@ def validate_scenario(scenario):
         m = _SOURCE_KEY.match(key)
         if m and int(m.group(1)) > len(indices):
             raise ConfigError(f"{key}: source index beyond source count {len(indices)}")
-
-    params = {k[len("algorithm."):]: v for k, v in scenario.items() if k.startswith("algorithm.")}
-    score = params.get("score")
-    if score is not None and score not in _SCORE_NAMES:
-        raise ConfigError(f"algorithm.score must be one of {_SCORE_NAMES}, got {score!r}")
-    variant = params.get("variant")
-    if variant is not None and variant not in _FASTICA_VARIANTS:
-        raise ConfigError(f"algorithm.variant must be one of {_FASTICA_VARIANTS}, got {variant!r}")
     return sources
 
 
@@ -241,13 +219,6 @@ def load_scenario(path):
         scenario["seed"] = _coerce("BSSKIT_SEED", override, int)
     sources = validate_scenario(scenario)
     return scenario, sources
-
-
-def _rep_state(scenario, rep, n_sources):
-    """Derived per-repetition seeds: one per source, then mixing and noise."""
-    ss = np.random.SeedSequence((scenario["seed"], rep))
-    state = ss.generate_state(n_sources + 3)
-    return [int(x) for x in state]
 
 
 def _build_model(scenario, n_sources, mix_seed, noise_seed):
@@ -300,95 +271,113 @@ def _delay_match_index(y, A, max_delay):
     return float(np.clip(10.0 * np.log10(leak / signal), DB_FLOOR, DB_CEIL))
 
 
-def _run_once(scenario, sources, rep):
-    """One repetition: generate, mix, separate, score.  Raises BssError."""
-    algorithm = scenario["algorithm"]
-    params = {k[len("algorithm."):]: v for k, v in scenario.items() if k.startswith("algorithm.")}
-    state = _rep_state(scenario, rep, len(sources))
+_Mixture = namedtuple("_Mixture", "A model U seed")  # sources, mixing model, sensors, algorithm seed
+
+
+def _mixture(scenario, sources, rep):
+    # derived per-repetition seeds: one per source, then mixing, noise and algorithm
+    state = np.random.SeedSequence((scenario["seed"], rep)).generate_state(len(sources) + 3).tolist()
     specs = [SourceSpec(kind, ar_coefficient=rho, seed=state[i])
              for i, (kind, rho) in enumerate(sources)]
     A = generate_sources(specs, scenario["samples"])
     model = _build_model(scenario, len(sources), state[-3], state[-2])
-    alg_seed = state[-1]
-    U = mix(model, A)
+    return _Mixture(A, model, mix(model, A), state[-1])
 
-    if model.variant == "convolutive" and algorithm != "unimodal":
-        raise InvalidSpec(f"{algorithm} expects an instantaneous mixture")
-    H = model.matrix if model.variant in ("static", "noisy") else None
 
-    iters = None
-    verdict = None
-    if algorithm == "amuse":
-        sep = amuse(U, lag=params.get("lag", 1), gap_tolerance=params.get("gap_tolerance", 0.05))
-        index = separation_index(sep.matrix @ H)
-    elif algorithm == "adaptive":
-        cfg = AdaptConfig(step_size=params.get("step_size", 0.005),
-                          mode=params.get("mode", "relative"),
-                          max_iterations=params.get("epochs", 1),
-                          convergence_tolerance=params.get("convergence_tolerance", 1e-6),
-                          init=params.get("init", "identity"),
-                          init_seed=params.get("init_seed", alg_seed))
-        scores = [make_score(params.get("score", "cubic")) for _ in sources]
-        sep, trajectory = run_separation(U, scores, cfg)
-        iters = max(len(trajectory), 1)
-        index = separation_index(sep.matrix @ H)
-        verdict = bool(stability_check(sep.apply(U).data, scores).verdict)
-    elif algorithm in ("fastica", "sea"):
-        variant = params.get("variant", "newton") if algorithm == "fastica" else "newton"
-        score_name = params.get("score", "cubic") if algorithm == "fastica" else "cubic"
-        whitener, Z = whiten(U)
-        sep = deflate_extract(Z, lambda: make_score(score_name), count=Z.channel_count,
-                              variant=variant,
-                              max_iterations=params.get("max_iterations", 200),
-                              tolerance=params.get("tolerance", 1e-10), seed=alg_seed)
-        index = separation_index(sep.matrix @ whitener.matrix @ H)
-    elif algorithm == "jade":
-        whitener, Z = whiten(U)
-        sep = jade(Z, whitener=whitener)
-        index = separation_index(sep.matrix @ H)
-    elif algorithm == "jacobi":
-        whitener, Z = whiten(U)
-        Q = jacobi_diagonalize(estimate_cum4(Z),
-                               sweep_tolerance=params.get("sweep_tolerance", 1e-10),
-                               max_sweeps=params.get("max_sweeps", 50))
-        index = separation_index(Q @ whitener.matrix @ H)
-    elif algorithm == "cma":
-        whitener, Z = whiten(U)
-        X = Z.data
-        g = np.zeros(X.shape[0])
-        g[0] = 1.0
-        epochs = params.get("epochs", 1)
-        for epoch in range(epochs):
-            # a diverging run overflows to inf and then NaN; stop at the first
-            # such operation instead of iterating on NaN to the end
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    for t in range(X.shape[1]):
-                        g = cma_step(g, X[:, t], params.get("step_size", 0.01))
-            except FloatingPointError as exc:
-                raise Diverged(f"cma diverged in epoch {epoch}: {exc}") from exc
-            if not np.all(np.isfinite(g)):
-                raise Diverged(f"cma output is not finite after epoch {epoch}")
-        iters = epochs
-        index = separation_index((g @ whitener.matrix @ H)[None, :])
-    elif algorithm == "rank1_sea":
-        whitener, Z = whiten(U)
-        C = estimate_cum4(Z)
-        start = rank1_init(C)
-        _, g = hopm(C, init=start.g0, max_iterations=params.get("max_iterations", 500),
-                    tolerance=params.get("tolerance", 1e-12))
-        index = separation_index((g @ whitener.matrix @ H)[None, :])
-    elif algorithm == "unimodal":
-        L = params.get("window_length", 16)
-        result = unimodal_equalizer(U, mu1=params.get("mu1", 0.05), mu2=params.get("mu2", 0.5),
-                                    L=L, epochs=params.get("epochs", 1),
-                                    init=params.get("init", "fourth_order"))
-        iters = params.get("epochs", 1)
-        index = _delay_match_index(result.outputs(U), A.data, L + model.order)
-    else:  # det_cm
-        result = deterministic_cm(U, max_refinements=params.get("max_refinements", 200))
-        index = separation_index((result.g @ H)[None, :])
-    return index, iters, verdict
+def _index(m, demixing):
+    """Separation index of demixing rows, or one row, on the static mixture of m."""
+    return separation_index(np.atleast_2d(demixing @ m.model.matrix))
+
+
+# Adapters: (mixture, params) -> (index_db, iters, verdict).  params holds only
+# the algorithm.* keys the scenario sets, so each default lives in the library
+# signature, apart from keys the library has no default for or names otherwise.
+
+def _amuse(m, params):
+    return _index(m, amuse(m.U, **params).matrix), None, None
+
+
+def _adaptive(m, params):
+    score = params.pop("score", "cubic")
+    if "epochs" in params:
+        params["max_iterations"] = params.pop("epochs")
+    params.setdefault("init_seed", m.seed)
+    scores = [make_score(score) for _ in range(m.A.channel_count)]
+    sep, trajectory = run_separation(m.U, scores, AdaptConfig(**params))
+    index = _index(m, sep.matrix)
+    verdict = bool(stability_check(sep.apply(m.U).data, scores).verdict)
+    return index, max(len(trajectory), 1), verdict
+
+
+def _fastica(m, params):
+    score = params.pop("score", "cubic")
+    whitener, Z = whiten(m.U)
+    sep = deflate_extract(Z, lambda: make_score(score), count=Z.channel_count, seed=m.seed, **params)
+    return _index(m, sep.matrix @ whitener.matrix), None, None
+
+
+def _jade(m, params):
+    whitener, Z = whiten(m.U)
+    return _index(m, jade(Z, whitener=whitener).matrix), None, None
+
+
+def _jacobi(m, params):
+    whitener, Z = whiten(m.U)
+    Q = jacobi_diagonalize(estimate_cum4(Z), **params)
+    return _index(m, Q @ whitener.matrix), None, None
+
+
+def _cma(m, params):
+    whitener, Z = whiten(m.U)
+    g, trajectory = cma(Z, **params)
+    return _index(m, g @ whitener.matrix), len(trajectory), None
+
+
+def _rank1_sea(m, params):
+    whitener, Z = whiten(m.U)
+    C = estimate_cum4(Z)
+    _, g = hopm(C, init=rank1_init(C).g0, **params)
+    return _index(m, g @ whitener.matrix), None, None
+
+
+def _unimodal(m, params):
+    mu1, mu2, L = params.pop("mu1", 0.05), params.pop("mu2", 0.5), params.pop("window_length", 16)
+    result = unimodal_equalizer(m.U, mu1=mu1, mu2=mu2, L=L, **params)
+    index = _delay_match_index(result.outputs(m.U), m.A.data, L + m.model.order)
+    return index, len(result.trajectory), None
+
+
+def _det_cm(m, params):
+    return _index(m, deterministic_cm(m.U, **params).g), None, None
+
+
+_ITERATIONS = {"max_iterations": int, "tolerance": float}
+
+# name -> (adapter, schema); a schema maps each algorithm.* key to int, float
+# or the tuple of its allowed strings
+ALGORITHMS = {
+    "amuse": (_amuse, {"lag": int, "gap_tolerance": float}),
+    "adaptive": (_adaptive, {"step_size": float, "mode": MODES, "score": SCORE_KINDS, "epochs": int,
+                             "convergence_tolerance": float, "init": INITS, "init_seed": int}),
+    # fastica's gradient variant needs a step size mu, which the scenario has no key for
+    "fastica": (_fastica, {"variant": tuple(v for v in VARIANTS if v != "gradient"),
+                           "score": SCORE_KINDS, **_ITERATIONS}),
+    "jade": (_jade, {}),
+    "jacobi": (_jacobi, {"sweep_tolerance": float, "max_sweeps": int}),
+    "sea": (_fastica, _ITERATIONS),  # fastica with its newton variant and cubic score
+    "cma": (_cma, {"step_size": float, "epochs": int}),
+    "rank1_sea": (_rank1_sea, _ITERATIONS),
+    "unimodal": (_unimodal, {"mu1": float, "mu2": float, "window_length": int, "epochs": int,
+                             "init": UNIMODAL_INITS}),
+    "det_cm": (_det_cm, {"max_refinements": int}),
+}
+
+
+def _run_once(scenario, sources, rep):
+    """One repetition: generate, mix, separate, score.  Raises BssError."""
+    adapter, _ = ALGORITHMS[scenario["algorithm"]]
+    params = {k[len("algorithm."):]: v for k, v in scenario.items() if k.startswith("algorithm.")}
+    return adapter(_mixture(scenario, sources, rep), params)
 
 
 def run_experiment(scenario, sources, extra=None):
@@ -430,6 +419,7 @@ def run_experiment(scenario, sources, extra=None):
 
 
 def _emit(records, out_path, csv_path):
+    """Write the records; returns the exit code, 3 when every repetition failed."""
     lines = [json.dumps(rec, sort_keys=True, allow_nan=False) for rec in records]
     text = "".join(line + "\n" for line in lines)
     if out_path:
@@ -445,6 +435,7 @@ def _emit(records, out_path, csv_path):
                          "" if rec["index_db"] is None else repr(rec["index_db"]),
                          "" if rec["iters"] is None else rec["iters"], rec["status"]]
                 fh.write(",".join(str(c) for c in cells) + "\n")
+    return 3 if records and all(rec["status"] != "ok" for rec in records) else 0
 
 
 def write_signals(path, data):
@@ -466,53 +457,41 @@ def read_signals(path):
         raise ConfigError(f"bad signal file {path!r}: {exc}") from None
     if data.shape != (rows, cols):
         raise ConfigError(f"{path!r}: header says {rows}x{cols}, found {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path!r}: non-finite entry")
     return data
 
 
 def _cmd_generate(args):
     scenario, sources = load_scenario(args.scenario)
-    state = _rep_state(scenario, args.rep, len(sources))
-    specs = [SourceSpec(kind, ar_coefficient=rho, seed=state[i])
-             for i, (kind, rho) in enumerate(sources)]
-    A = generate_sources(specs, scenario["samples"])
-    model = _build_model(scenario, len(sources), state[-3], state[-2])
-    U = mix(model, A)
-    write_signals(args.out, U.data)
+    m = _mixture(scenario, sources, args.rep)
+    write_signals(args.out, m.U.data)
     if args.sources_out:
-        write_signals(args.sources_out, A.data)
+        write_signals(args.sources_out, m.A.data)
     return 0
 
 
 def _cmd_run(args):
     scenario, sources = load_scenario(args.scenario)
-    records = run_experiment(scenario, sources)
-    _emit(records, args.out, args.csv)
-    if records and all(rec["status"] != "ok" for rec in records):
-        return 3
-    return 0
+    return _emit(run_experiment(scenario, sources), args.out, args.csv)
 
 
 def _cmd_sweep(args):
     scenario, _ = load_scenario(args.scenario)
-    algorithm = scenario.get("algorithm", "")
-    kind = _key_type(args.param, algorithm)
+    kind = _key_type(args.param, scenario["algorithm"])
     if kind is None or kind == "matrix":
         raise InvalidPath(f"cannot sweep over {args.param!r}")
     values = [_coerce(args.param, raw.strip(), kind) for raw in args.values.split(",")]
     # validate every point before running any
     grid = []
     for value in values:
-        point = dict(scenario)
-        point[args.param] = value
+        point = {**scenario, args.param: value}
         grid.append((value, point, validate_scenario(point)))
     records = []
     for value, point, sources in grid:
         records.extend(run_experiment(point, sources,
                                       extra={"parameter": args.param, "value": value}))
-    _emit(records, args.out, args.csv)
-    if records and all(rec["status"] != "ok" for rec in records):
-        return 3
-    return 0
+    return _emit(records, args.out, args.csv)
 
 
 def _cmd_eval(args):
@@ -521,7 +500,7 @@ def _cmd_eval(args):
     if G.shape[1] != H.shape[0]:
         raise ConfigError(f"separator {G.shape} does not compose with mixing {H.shape}")
     record = {"index_db": separation_index(G @ H), "rows": G.shape[0], "status": "ok"}
-    sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     return 0
 
 

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, NotConverged, ZeroUpdate
+from .errors import DegenerateChannel, DimensionMismatch, Diverged, InvalidSpec, NotConverged, ZeroUpdate
 from .moments import _as_data
-from .second_order import Separator
+from .second_order import Separator, fix_signs
 
 _NORM_FLOOR = 1e-12
 
@@ -30,12 +30,6 @@ class OneUnitState:
     g: np.ndarray
     beta: float = float("nan")
     iteration: int = 0
-
-
-def _fix_vector_sign(g: np.ndarray) -> np.ndarray:
-    if g[int(np.argmax(np.abs(g)))] < 0:
-        return -g
-    return g
 
 
 def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: float | None = None) -> OneUnitState:
@@ -71,7 +65,7 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     norm = np.linalg.norm(g_plus)
     if norm < _NORM_FLOOR:
         raise ZeroUpdate(f"update norm {norm:.3e} below {_NORM_FLOOR:.0e}")
-    g_plus = _fix_vector_sign(g_plus / norm)
+    g_plus = fix_signs(g_plus / norm)
     return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
 
 
@@ -111,7 +105,7 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
                 norm = np.linalg.norm(g)
                 if norm < _NORM_FLOOR:
                     raise ZeroUpdate(f"unit {r} vanished after deflation")
-                g = _fix_vector_sign(g / norm)
+                g = fix_signs(g / norm)
                 state = OneUnitState(g=g, beta=state.beta, iteration=state.iteration)
             if abs(float(g @ prev)) > 1.0 - tolerance:
                 converged = True
@@ -131,6 +125,31 @@ def cma_step(g, u, step_size: float):
     u = np.asarray(u, dtype=float).ravel()
     y = float(g @ u)
     return g - step_size * (y * y - 1.0) * y * u
+
+
+def cma(U, step_size: float = 0.01, epochs: int = 1):
+    """Constant-modulus adaptation of one demixing vector on sphered data.
+
+    Starts from the first unit vector and runs cma_step over every sample,
+    ``epochs`` times.  Returns (g, trajectory), trajectory holding g after
+    each epoch.  A diverging run overflows to inf and then NaN; it raises
+    Diverged at the first such operation instead of iterating on NaN.
+    """
+    X = _as_data(U)
+    g = np.zeros(X.shape[0])
+    g[0] = 1.0
+    trajectory = []
+    for epoch in range(epochs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for t in range(X.shape[1]):
+                    g = cma_step(g, X[:, t], step_size)
+        except FloatingPointError as exc:
+            raise Diverged(f"cma diverged in epoch {epoch}: {exc}") from exc
+        if not np.all(np.isfinite(g)):
+            raise Diverged(f"cma output is not finite after epoch {epoch}")
+        trajectory.append(g)
+    return g, tuple(trajectory)
 
 
 def donoho_contrast(g, U) -> float:

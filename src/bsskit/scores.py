@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidSpec
 
 SCORE_KINDS = ("cubic", "tanh", "sign_switching")
+_FORGETTING = 0.99  # of the sign-switching score's running moments
 
 
 class ScoreFunction:
@@ -83,10 +84,7 @@ class SignSwitchingScore(ScoreFunction):
     kind = "sign_switching"
     has_log_phi = False
 
-    def __init__(self, forgetting: float = 0.99):
-        if not (0.0 < forgetting < 1.0):
-            raise InvalidSpec(f"forgetting factor must lie in (0, 1), got {forgetting}")
-        self.forgetting = forgetting
+    def __init__(self):
         self.m2 = 1.0
         self.m4 = 3.0  # gaussian start: estimated kurtosis 0, sign resolves to +1
 
@@ -97,7 +95,7 @@ class SignSwitchingScore(ScoreFunction):
 
     def update(self, y):
         y = np.asarray(y, dtype=float).ravel()
-        lam = self.forgetting
+        lam = _FORGETTING
         # Sequential exponential forgetting over the batch, evaluated in
         # closed form: weight lam^(T-1-t) * (1-lam) on sample t.
         T = y.size
@@ -116,12 +114,12 @@ class SignSwitchingScore(ScoreFunction):
         return self.kurtosis_sign * 3.0 * y * y
 
 
-def make_score(kind: str, **kwargs) -> ScoreFunction:
+def make_score(kind: str) -> ScoreFunction:
     """Instantiate a score by name; each call returns independent state."""
     if kind == "cubic":
         return CubicScore()
     if kind == "tanh":
         return TanhScore()
     if kind == "sign_switching":
-        return SignSwitchingScore(**kwargs)
+        return SignSwitchingScore()
     raise InvalidSpec(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")

@@ -16,18 +16,19 @@ from .errors import DegenerateInput, DegenerateSpectra, InvalidSpec
 from .moments import _as_data, sample_covariance
 from .signals import SignalMatrix
 
+_RANK_TOLERANCE = 1e-9  # whiten's null-direction floor, relative to the largest eigenvalue
+
 
 def fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive.
+    """Flip a vector, or each column, so its largest-magnitude entry is positive.
 
     Removes the sign ambiguity of eigenvectors and singular vectors so that
     equal inputs give bit-equal decompositions.
     """
     vectors = np.array(vectors)
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            vectors[:, j] = -col
+    columns = vectors.reshape(len(vectors), -1)  # a view: flips write through
+    pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    columns[:, pivots < 0] *= -1
     return vectors
 
 
@@ -68,10 +69,10 @@ class Separator:
         return SignalMatrix(self.matrix @ X)
 
 
-def whiten(U, rank_tolerance: float = 1e-9):
+def whiten(U):
     """Fit a sphering transform and return it with the sphered data.
 
-    Eigenvalues below rank_tolerance times the largest are treated as null
+    Eigenvalues below _RANK_TOLERANCE times the largest are treated as null
     directions and dropped, so the output may have fewer channels than the
     input.
 
@@ -79,8 +80,6 @@ def whiten(U, rank_tolerance: float = 1e-9):
     -------
     (Whitener, SignalMatrix)
     """
-    if not (0.0 < rank_tolerance < 1.0):
-        raise InvalidSpec(f"rank_tolerance must lie in (0, 1), got {rank_tolerance}")
     X = _as_data(U)
     mean = X.mean(axis=1)
     R = sample_covariance(X, 0).matrix
@@ -90,7 +89,7 @@ def whiten(U, rank_tolerance: float = 1e-9):
     eigvecs = fix_signs(eigvecs[:, order])
     if eigvals[0] <= 0.0:
         raise DegenerateInput("all covariance eigenvalues vanish")
-    rank = int(np.sum(eigvals >= rank_tolerance * eigvals[0]))
+    rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
     T_w = eigvecs[:, :rank].T / np.sqrt(eigvals[:rank])[:, None]
     w = Whitener(matrix=T_w, detected_rank=rank, eigenvalues=eigvals, mean=mean)
     return w, SignalMatrix(T_w @ (X - mean[:, None]))

@@ -7,6 +7,7 @@ import pytest
 
 from bsskit import separation_index
 from bsskit.cli import (
+    ALGORITHMS,
     ConfigError,
     canonical_text,
     main,
@@ -50,6 +51,27 @@ seed = 1
 repetitions = 1
 """
 
+FIR_BPSK = """\
+source.1.kind = bpsk
+samples = 2000
+mixing = convolutive
+mixing.tap.0 = 1 ; 0.4
+mixing.tap.1 = 0.3 ; -0.5
+seed = 1
+repetitions = 1
+"""
+
+TWO_AR1 = """\
+source.1.kind = ar1
+source.1.ar_coefficient = 0.9
+source.2.kind = ar1
+source.2.ar_coefficient = 0.3
+samples = 4000
+mixing = random_orthogonal
+seed = 1
+repetitions = 1
+"""
+
 
 @pytest.fixture(autouse=True)
 def _no_seed_override(monkeypatch):
@@ -83,6 +105,12 @@ def test_strict_parsing_rejects_malformed_scenarios(tmp_path):
         parse_scenario("algorithm = jade\nalgorithm.lag = 1")
     with pytest.raises(ConfigError):
         validate_scenario(parse_scenario("samples = 100\nalgorithm = jade\nmixing = identity"))
+    with pytest.raises(ConfigError):
+        # a choice the library does not offer
+        parse_scenario("algorithm = adaptive\nalgorithm.mode = bogus")
+    with pytest.raises(ConfigError):
+        # only the unimodal equalizer takes a convolutive mixture
+        validate_scenario(parse_scenario(FIR_BPSK + "algorithm = jade"))
 
     bad = put(tmp_path, "source.1.kind = bpsk\nwat = 1\n")
     assert main(["run", bad]) == 2
@@ -169,6 +197,10 @@ def test_sweep_rejects_unknown_or_matrix_parameters(tmp_path):
     assert main(["sweep", scenario, "--param", "algorithm.bogus", "--values", "1"]) == 2
     assert main(["sweep", scenario, "--param", "mixing.matrix", "--values", "1"]) == 2
     assert main(["sweep", scenario, "--param", "algorithm.step_size", "--values", "0.01,inf"]) == 2
+    assert main(["sweep", scenario, "--param", "algorithm.mode", "--values", "relative,bogus"]) == 2
+    # every sweep point is checked against the algorithm it runs: jade has no max_sweeps
+    jacobi = put(tmp_path, THREE_BPSK + "algorithm = jacobi\nalgorithm.max_sweeps = 0\n", "jacobi.cfg")
+    assert main(["sweep", jacobi, "--param", "algorithm", "--values", "jacobi,jade,amuse"]) == 2
 
 
 def test_generate_writes_consistent_signal_files(tmp_path):
@@ -199,6 +231,10 @@ def test_eval_scores_stored_matrices(tmp_path, capsys):
                  "--mixing", str(tmp_path / "h.txt")]) == 2
     with pytest.raises(ConfigError):
         read_signals(str(tmp_path / "broken.txt"))
+
+    (tmp_path / "nan.txt").write_text("2 2\nnan 0\n0 1\n")
+    assert main(["eval", "--separator", str(tmp_path / "nan.txt"),
+                 "--mixing", str(tmp_path / "h.txt")]) == 2
 
 
 def test_environment_seed_override(tmp_path, monkeypatch):
@@ -254,3 +290,59 @@ def test_fastica_variant_without_a_step_size_key_is_rejected(tmp_path):
     with pytest.raises(ConfigError):
         validate_scenario(parse_scenario(text))
     assert main(["run", put(tmp_path, text)]) == 2
+
+
+# Per algorithm: the sources, and one block of algorithm.* lines per run.
+# Together the runs set every key of the algorithm's schema and every allowed
+# string of its choice keys.
+REGISTRY_CASES = {
+    "amuse": (TWO_AR1, ["algorithm.lag = 2\nalgorithm.gap_tolerance = 0.01\n"]),
+    "adaptive": (THREE_BPSK, [
+        "algorithm.mode = plain\nalgorithm.score = cubic\nalgorithm.step_size = 0.005\n"
+        "algorithm.epochs = 2\nalgorithm.convergence_tolerance = 1e-3\n"
+        "algorithm.init = random_orthogonal\nalgorithm.init_seed = 4\n",
+        "algorithm.mode = relative\nalgorithm.score = tanh\nalgorithm.init = identity\n",
+        "algorithm.mode = nonlinear_pca\nalgorithm.score = sign_switching\n",
+        "algorithm.mode = anti_hebbian\nalgorithm.score = cubic\n",
+    ]),
+    "fastica": (THREE_BPSK, [
+        "algorithm.variant = fixed_point\nalgorithm.score = tanh\n"
+        "algorithm.max_iterations = 400\nalgorithm.tolerance = 1e-8\n",
+        "algorithm.variant = newton\nalgorithm.score = sign_switching\n",
+        "algorithm.score = cubic\n",
+    ]),
+    "jade": (THREE_BPSK, [""]),
+    "jacobi": (THREE_BPSK, ["algorithm.sweep_tolerance = 1e-9\nalgorithm.max_sweeps = 30\n"]),
+    "sea": (THREE_BPSK, ["algorithm.max_iterations = 300\nalgorithm.tolerance = 1e-9\n"]),
+    "cma": (THREE_BPSK, ["algorithm.step_size = 0.005\nalgorithm.epochs = 2\n"]),
+    "rank1_sea": (THREE_BPSK, ["algorithm.max_iterations = 800\nalgorithm.tolerance = 1e-10\n"]),
+    "unimodal": (FIR_BPSK, [
+        "algorithm.mu1 = 0.02\nalgorithm.mu2 = 0.4\nalgorithm.window_length = 4\n"
+        "algorithm.epochs = 2\nalgorithm.init = fourth_order\n",
+        "algorithm.init = zero\n",
+    ]),
+    "det_cm": (THREE_BPSK, ["algorithm.max_refinements = 50\n"]),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_registry_key_and_choice_runs_to_an_ok_record(tmp_path, algorithm):
+    # adapters hand the scenario's keys straight to the library, so a schema key
+    # the library does not take would end in a TypeError traceback, not a status
+    sources, cases = REGISTRY_CASES[algorithm]
+    seen = {}
+    for k, params in enumerate(cases):
+        text = sources + f"algorithm = {algorithm}\n" + params
+        out = tmp_path / f"r{k}.jsonl"
+        assert main(["run", put(tmp_path, text, f"s{k}.cfg"), "--out", str(out)]) == 0, params
+        recs = [_strict_json(line) for line in out.read_text().splitlines()]
+        assert [rec["status"] for rec in recs] == ["ok"], params
+        assert np.isfinite(recs[0]["index_db"])
+        for key, value in parse_scenario(text).items():
+            if key.startswith("algorithm."):
+                seen.setdefault(key[len("algorithm."):], set()).add(value)
+    schema = ALGORITHMS[algorithm][1]
+    assert set(seen) == set(schema)
+    for name, kind in schema.items():
+        if isinstance(kind, tuple):
+            assert seen[name] == set(kind), name

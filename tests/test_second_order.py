@@ -112,3 +112,7 @@ def test_fix_signs_largest_entry_positive():
     F = fix_signs(M)
     for col in F.T:
         assert col[int(np.argmax(np.abs(col)))] > 0
+    # a vector is treated as one column, and the input is left as it was
+    assert np.array_equal(fix_signs(M[:, 0]), F[:, 0])
+    assert np.array_equal(fix_signs(M[:, 1]), F[:, 1])
+    assert np.array_equal(M, [[1.0, -3.0], [-2.0, 1.0]])
