@@ -76,10 +76,18 @@ class StabilityReport:
 
 
 def _apply_scores(scores, Y, method="f"):
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if len(scores) != Y.shape[0]:
-        raise DimensionMismatch(f"{len(scores)} scores for {Y.shape[0]} channels")
-    return np.vstack([getattr(s, method)(Y[i]) for i, s in enumerate(scores)])
+    """Channel i's score on row i of Y (N-vector or N x T), one call per batch_key."""
+    Y = np.asarray(Y, dtype=float)
+    keys = [s.batch_key() for s in scores]
+    if len(keys) != Y.shape[0]:
+        raise DimensionMismatch(f"{len(keys)} scores for {Y.shape[0]} channels")
+    if len(set(keys)) == 1:
+        return getattr(scores[0], method)(Y)
+    out = np.empty_like(Y)
+    for key in dict.fromkeys(keys):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        out[rows] = getattr(scores[rows[0]], method)(Y[rows])
+    return out
 
 
 def universal_criterion(G, U, scores) -> float:
@@ -88,15 +96,37 @@ def universal_criterion(G, U, scores) -> float:
     X = _as_data(U)
     if G.shape[0] != G.shape[1] or G.shape[1] != X.shape[0]:
         raise DimensionMismatch(f"G {G.shape} is not square over {X.shape[0]} channels")
-    for s in scores:
-        if not s.has_log_phi:
-            raise InvalidSpec(f"score {s.kind!r} has no closed-form log-density")
+    total = sum(np.mean(_apply_scores(scores, G @ X, "log_phi"), axis=1).tolist())
     det = np.linalg.det(G)
     if abs(det) < _DET_FLOOR:
         raise SingularG(f"|det G| = {abs(det):.3e} below {_DET_FLOOR:.0e}")
-    Y = G @ X
-    total = sum(float(np.mean(scores[i].log_phi(Y[i]))) for i in range(len(scores)))
     return float(np.log(abs(det))) + total
+
+
+def _direction(G, X, Y, scores, mode, g_scores=None):
+    """Each rule's update direction averaged over the columns of X, Y = G X; for
+    one column it is the per-sample direction (F @ Y.T is then f(y) y^T)."""
+    T = X.shape[1]
+    F = _apply_scores(scores, Y)
+    if mode == "plain":
+        det = np.linalg.det(G)
+        if abs(det) < _DET_FLOOR:
+            raise SingularG(f"|det G| = {abs(det):.3e}; plain update undefined")
+        return np.linalg.inv(G).T - F @ X.T / T
+    if mode == "relative":
+        return G - F @ (Y.T @ G) / T
+    if mode == "anti_hebbian":
+        if g_scores is None:
+            raise InvalidSpec("anti_hebbian mode needs the second score family")
+        return G - F @ (_apply_scores(g_scores, Y).T @ G) / T
+    if mode == "nonlinear_pca":
+        return F @ (X - G.T @ F).T / T
+    raise InvalidSpec(f"no update direction for mode {mode!r}")
+
+
+def _polar(G):
+    left, _, right = np.linalg.svd(G, full_matrices=False)
+    return left @ right
 
 
 def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):
@@ -106,24 +136,11 @@ def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):
     relative:     G + mu (I - f(y) y^T) G
     anti_hebbian: G + mu (I - f(y) g(y)^T) G
     """
+    if cfg.mode == "nonlinear_pca":
+        return nonlinear_pca_update(G, u, scores, cfg.step_size)
     G = np.asarray(G, dtype=float)
-    u = np.asarray(u, dtype=float).ravel()
-    y = G @ u
-    f = np.array([s.f(y[i]) for i, s in enumerate(scores)])
-    mu = cfg.step_size
-    if cfg.mode == "plain":
-        det = np.linalg.det(G)
-        if abs(det) < _DET_FLOOR:
-            raise SingularG(f"|det G| = {abs(det):.3e}; plain update undefined")
-        return G + mu * (np.linalg.inv(G).T - np.outer(f, u))
-    if cfg.mode == "relative":
-        return G + mu * (np.eye(len(y)) - np.outer(f, y)) @ G
-    if cfg.mode == "anti_hebbian":
-        if g_scores is None:
-            raise InvalidSpec("anti_hebbian mode needs the second score family")
-        g = np.array([s.f(y[i]) for i, s in enumerate(g_scores)])
-        return G + mu * (np.eye(len(y)) - np.outer(f, g)) @ G
-    return nonlinear_pca_update(G, u, scores, mu)
+    u = np.asarray(u, dtype=float).reshape(-1, 1)
+    return G + cfg.step_size * _direction(G, u, G @ u, scores, cfg.mode, g_scores)
 
 
 def nonlinear_pca_update(G, u, scores, step_size: float):
@@ -134,12 +151,8 @@ def nonlinear_pca_update(G, u, scores, step_size: float):
     at every step.
     """
     G = np.asarray(G, dtype=float)
-    u = np.asarray(u, dtype=float).ravel()
-    y = G @ u
-    f = np.array([s.f(y[i]) for i, s in enumerate(scores)])
-    G = G + step_size * np.outer(f, u - G.T @ f)
-    left, _, right = np.linalg.svd(G, full_matrices=False)
-    return left @ right
+    u = np.asarray(u, dtype=float).reshape(-1, 1)
+    return _polar(G + step_size * _direction(G, u, G @ u, scores, "nonlinear_pca"))
 
 
 def batch_update_direction(G, U, scores, mode: str, g_scores=None):
@@ -148,20 +161,7 @@ def batch_update_direction(G, U, scores, mode: str, g_scores=None):
     """
     G = np.asarray(G, dtype=float)
     X = _as_data(U)
-    T = X.shape[1]
-    Y = G @ X
-    F = _apply_scores(scores, Y)
-    if mode == "plain":
-        det = np.linalg.det(G)
-        if abs(det) < _DET_FLOOR:
-            raise SingularG(f"|det G| = {abs(det):.3e}; plain direction undefined")
-        return np.linalg.inv(G).T - F @ X.T / T
-    if mode == "relative":
-        return (np.eye(G.shape[0]) - F @ Y.T / T) @ G
-    if mode == "anti_hebbian":
-        Gy = _apply_scores(g_scores, Y)
-        return (np.eye(G.shape[0]) - F @ Gy.T / T) @ G
-    raise InvalidSpec(f"no batch direction for mode {mode!r}")
+    return _direction(G, X, G @ X, scores, mode, g_scores)
 
 
 def run_separation(U, scores, cfg: AdaptConfig):
@@ -177,7 +177,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
     if cfg.mode == "nonlinear_pca":
         whitener, Ubar = whiten(X)
         X = Ubar.data
-    N, T = X.shape
+    N = X.shape[0]
     if len(scores) != N:
         raise DimensionMismatch(f"{len(scores)} scores for {N} channels")
     if cfg.init == "identity":
@@ -189,16 +189,19 @@ def run_separation(U, scores, cfg: AdaptConfig):
     if cfg.mode == "anti_hebbian":
         g_scores = [make_score(_ANTI_HEBBIAN_SCORE) for _ in range(N)]
 
+    # the scores that keep state see each output sample before the update
+    tracking = [(i, s) for i, s in enumerate(scores) if type(s).update is not ScoreFunction.update]
     record = all(s.has_log_phi for s in scores)
     trajectory = []
     for _ in range(cfg.max_iterations):
         G_start = G
-        for t in range(T):
-            u = X[:, t]
+        for u in X.T[:, :, None]:  # each sample as an N x 1 block
             y = G @ u
-            for i, s in enumerate(scores):
+            for i, s in tracking:
                 s.update(y[i])
-            G = adaptive_update(G, u, scores, cfg, g_scores=g_scores)
+            G = G + cfg.step_size * _direction(G, u, y, scores, cfg.mode, g_scores)
+            if cfg.mode == "nonlinear_pca":
+                G = _polar(G)
         if not np.all(np.isfinite(G)) or np.linalg.norm(G) > _DIVERGENCE_NORM:
             raise Diverged(f"G norm {np.linalg.norm(G):.3e} after an epoch")
         if record:

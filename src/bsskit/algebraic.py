@@ -139,6 +139,14 @@ def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int 
     return fix_signs(Q.T)
 
 
+def _unfolding_eigh(C: Cumulant4Tensor):
+    """Eigenpairs of the symmetrized 2x2 unfolding, largest magnitude first."""
+    B = unfold(C, "2x2")
+    eigvals, eigvecs = np.linalg.eigh((B + B.T) / 2.0)
+    order = np.argsort(np.abs(eigvals))[::-1]
+    return eigvals[order], eigvecs[:, order]
+
+
 def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     """Joint diagonalizer of the N most significant eigenmatrices of C.
 
@@ -147,15 +155,9 @@ def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     by their eigenvalues, and jointly diagonalized.
     """
     N = C.dim
-    B = unfold(C, "2x2")
-    B = (B + B.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(B)
-    order = np.argsort(np.abs(eigvals))[::-1][:N]
-    eigenmatrices = []
-    for idx in order:
-        M = eigvals[idx] * eigvecs[:, idx].reshape(N, N)
-        eigenmatrices.append((M + M.T) / 2.0)
-    return joint_diagonalize(eigenmatrices)
+    eigvals, eigvecs = _unfolding_eigh(C)
+    mats = [lam * v.reshape(N, N) for lam, v in zip(eigvals[:N], eigvecs.T[:N])]
+    return joint_diagonalize([(M + M.T) / 2.0 for M in mats])
 
 
 def jade(U, whitener: Whitener | None = None) -> Separator:
@@ -278,7 +280,6 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
     V = C.values
     norm_c = np.linalg.norm(V)
     errors = []
-    prev_err = None
     converged = False
     for _ in range(max_iterations):
         for mode in range(4):
@@ -295,10 +296,9 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
         recon = np.einsum("ir,jr,kr,lr->ijkl", *factors)
         err = float(np.linalg.norm(V - recon))
         errors.append(err)
-        if prev_err is not None and abs(prev_err - err) <= tolerance * max(1.0, norm_c):
+        if len(errors) > 1 and abs(errors[-2] - err) <= tolerance * max(1.0, norm_c):
             converged = True
             break
-        prev_err = err
 
     H = factors[0].copy()
     norms = np.linalg.norm(H, axis=0)
@@ -341,17 +341,14 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
     hence the initialization, undetermined.
     """
     N = C.dim
-    B = unfold(C, "2x2")
-    B = (B + B.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(B)
-    order = np.argsort(np.abs(eigvals))[::-1]
-    if len(order) > 1 and abs(abs(eigvals[order[0]]) - abs(eigvals[order[1]])) < 1e-8:
+    eigvals, eigvecs = _unfolding_eigh(C)
+    if N > 1 and abs(abs(eigvals[0]) - abs(eigvals[1])) < 1e-8:
         raise DegenerateSpectrum(
             f"two leading unfolding eigenvalues have magnitudes "
-            f"{abs(eigvals[order[0]]):.6e} and {abs(eigvals[order[1]]):.6e}"
+            f"{abs(eigvals[0]):.6e} and {abs(eigvals[1]):.6e}"
         )
-    lam = float(eigvals[order[0]])
-    w = fix_signs(eigvecs[:, order[0]])
+    lam = float(eigvals[0])
+    w = fix_signs(eigvecs[:, 0])
     W = w.reshape(N, N)
     W = (W + W.T) / 2.0
     wvals, wvecs = np.linalg.eigh(W)

@@ -86,7 +86,7 @@ def _coerce(key, raw, kind):
         value = kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
-    if not np.isfinite(value):  # records are strict JSON, which has no NaN or infinity
+    if kind is float and not np.isfinite(value):  # strict JSON has no NaN or infinity
         raise ConfigError(f"{key}: expected a finite {kind.__name__}, got {raw!r}")
     return value
 
@@ -499,7 +499,11 @@ def _cmd_eval(args):
     H = read_signals(args.mixing)
     if G.shape[1] != H.shape[0]:
         raise ConfigError(f"separator {G.shape} does not compose with mixing {H.shape}")
-    record = {"index_db": separation_index(G @ H), "rows": G.shape[0], "status": "ok"}
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            record = {"index_db": separation_index(G @ H), "rows": G.shape[0], "status": "ok"}
+    except FloatingPointError as exc:
+        raise ConfigError(f"separator times mixing leaves the float range: {exc}") from exc
     sys.stdout.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
     return 0
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannel, DimensionMismatch, Diverged, InvalidSpec, NotConverged, ZeroUpdate
-from .moments import _as_data
+from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, ZeroUpdate
+from .moments import _as_data, kurtosis
 from .second_order import Separator, fix_signs
 
 _NORM_FLOOR = 1e-12
@@ -88,19 +88,16 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     rows = []
     for r in range(count):
         unit_score = score() if callable(score) else score
+        R = np.array(rows).reshape(r, N)  # the units found so far
         g = rng.standard_normal(N)
-        if rows:
-            R = np.vstack(rows)
-            g = g - R.T @ (R @ g)
+        g = g - R.T @ (R @ g)
         g = g / np.linalg.norm(g)
         state = OneUnitState(g=g)
-        converged = False
         for _ in range(max_iterations):
             prev = state.g
             state = fastica_step(state, X, unit_score, variant=variant)
             g = state.g
             if rows:
-                R = np.vstack(rows)
                 g = g - R.T @ (R @ g)
                 norm = np.linalg.norm(g)
                 if norm < _NORM_FLOOR:
@@ -108,9 +105,8 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
                 g = fix_signs(g / norm)
                 state = OneUnitState(g=g, beta=state.beta, iteration=state.iteration)
             if abs(float(g @ prev)) > 1.0 - tolerance:
-                converged = True
                 break
-        if not converged:
+        else:
             raise NotConverged(f"unit {r} did not settle in {max_iterations} iterations", index=r)
         rows.append(state.g)
     return Separator(matrix=np.vstack(rows))
@@ -135,6 +131,8 @@ def cma(U, step_size: float = 0.01, epochs: int = 1):
     each epoch.  A diverging run overflows to inf and then NaN; it raises
     Diverged at the first such operation instead of iterating on NaN.
     """
+    if epochs < 1:
+        raise InvalidSpec(f"epochs must be at least 1, got {epochs}")
     X = _as_data(U)
     g = np.zeros(X.shape[0])
     g[0] = 1.0
@@ -154,11 +152,4 @@ def cma(U, step_size: float = 0.01, epochs: int = 1):
 
 def donoho_contrast(g, U) -> float:
     """|c4(y)| / c2(y)^2 for the output y = g.u; scale-invariant."""
-    X = _as_data(U)
-    y = np.asarray(g, dtype=float) @ X
-    y = y - y.mean()
-    c2 = float(np.mean(y * y))
-    if c2 <= _NORM_FLOOR:
-        raise DegenerateChannel(f"output variance {c2:.3e} too small")
-    c4 = float(np.mean(y**4) - 3.0 * c2 * c2)
-    return abs(c4) / (c2 * c2)
+    return abs(kurtosis(np.asarray(g, dtype=float) @ _as_data(U)))

@@ -167,10 +167,11 @@ def kurtosis(y) -> float:
     """Excess kurtosis of a single channel after standardization."""
     y = np.asarray(y, dtype=float).ravel()
     y = y - y.mean()
-    var = float(np.mean(y * y))
+    y2 = y * y
+    var = float(np.mean(y2))
     if var <= _VAR_FLOOR:
         raise DegenerateChannel(f"channel variance {var:.3e} below {_VAR_FLOOR:.0e}")
-    return float(np.mean(y**4) / (var * var) - 3.0)
+    return float(np.mean(y2 * y2) / (var * var) - 3.0)
 
 
 def tucker_transform(C: Cumulant4Tensor, G) -> Cumulant4Tensor:

@@ -17,10 +17,15 @@ _FORGETTING = 0.99  # of the sign-switching score's running moments
 
 
 class ScoreFunction:
-    """Interface: f(y), fprime(y), optional log_phi(y), update(y)."""
+    """Interface: f(y), fprime(y), optional log_phi(y), update(y), batch_key()."""
 
     kind = "base"
     has_log_phi = False
+
+    def batch_key(self):
+        """Scores with equal keys compute one elementwise function, so one call
+        evaluates all their channels: the class, unless the score has state."""
+        return self if vars(self) else type(self)
 
     def f(self, y):
         raise NotImplementedError
@@ -43,15 +48,15 @@ class CubicScore(ScoreFunction):
 
     def f(self, y):
         y = np.asarray(y, dtype=float)
-        return y**3
+        return y * y * y
 
     def fprime(self, y):
         y = np.asarray(y, dtype=float)
         return 3.0 * y * y
 
     def log_phi(self, y):
-        y = np.asarray(y, dtype=float)
-        return -0.25 * y**4
+        y2 = np.square(np.asarray(y, dtype=float))
+        return -0.25 * (y2 * y2)
 
 
 class TanhScore(ScoreFunction):
@@ -93,21 +98,24 @@ class SignSwitchingScore(ScoreFunction):
         c4 = self.m4 / (self.m2 * self.m2) - 3.0
         return -1.0 if c4 < 0 else 1.0
 
+    def batch_key(self):
+        return SignSwitchingScore, self.kurtosis_sign
+
     def update(self, y):
-        y = np.asarray(y, dtype=float).ravel()
-        lam = _FORGETTING
-        # Sequential exponential forgetting over the batch, evaluated in
-        # closed form: weight lam^(T-1-t) * (1-lam) on sample t.
-        T = y.size
-        if T == 0:
-            return
-        w = (1.0 - lam) * lam ** np.arange(T - 1, -1, -1, dtype=float)
-        self.m2 = lam**T * self.m2 + float(w @ (y * y))
-        self.m4 = lam**T * self.m4 + float(w @ (y**4))
+        y2 = np.square(np.asarray(y, dtype=float).ravel())
+        lam, T = _FORGETTING, y2.size
+        if T == 1:  # exponential forgetting, one sample
+            y2 = float(y2[0])
+            self.m2 = lam * self.m2 + (1.0 - lam) * y2
+            self.m4 = lam * self.m4 + (1.0 - lam) * (y2 * y2)
+        elif T > 1:  # the same recursion in closed form: weight lam^(T-1-t) (1-lam) on sample t
+            w = (1.0 - lam) * lam ** np.arange(T - 1, -1, -1, dtype=float)
+            self.m2 = lam**T * self.m2 + float(w @ y2)
+            self.m4 = lam**T * self.m4 + float(w @ (y2 * y2))
 
     def f(self, y):
         y = np.asarray(y, dtype=float)
-        return self.kurtosis_sign * y**3
+        return self.kurtosis_sign * (y * y * y)
 
     def fprime(self, y):
         y = np.asarray(y, dtype=float)
@@ -116,10 +124,6 @@ class SignSwitchingScore(ScoreFunction):
 
 def make_score(kind: str) -> ScoreFunction:
     """Instantiate a score by name; each call returns independent state."""
-    if kind == "cubic":
-        return CubicScore()
-    if kind == "tanh":
-        return TanhScore()
-    if kind == "sign_switching":
-        return SignSwitchingScore()
-    raise InvalidSpec(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
+    if kind not in SCORE_KINDS:
+        raise InvalidSpec(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
+    return {"cubic": CubicScore, "tanh": TanhScore, "sign_switching": SignSwitchingScore}[kind]()

@@ -203,6 +203,20 @@ def test_jade_exact_on_orthogonally_mixed_design():
     assert signed_permutation_gap(sep.matrix @ Q0) < 1e-8
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(["bpsk", "uniform", "laplace"]), min_size=2, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_jade_is_equivariant_under_orthogonal_mixing(kinds, seed):
+    # jade(R Z) = P jade(Z) R^T for a signed permutation P: the separator
+    # follows any orthogonal change of the sphered coordinates
+    n = len(kinds)
+    A = generate_sources([SourceSpec(k, seed=seed % 10**6 + i) for i, k in enumerate(kinds)], 4000)
+    _, Z = whiten(np.random.default_rng(seed).standard_normal((n, n)) @ A.data)
+    R = random_orthogonal(n, seed + 1)
+    B = jade(Z).matrix
+    assert signed_permutation_gap(jade(R @ Z.data).matrix @ R @ B.T) < 1e-9
+
+
 def test_jade_single_channel_is_just_the_whitener():
     data = 2.0 * bpsk_product(1)
     whitener, Z = whiten(data)

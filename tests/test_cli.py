@@ -1,10 +1,16 @@
 """Scenario parsing, dispatch, record emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bsskit
 from bsskit import separation_index
 from bsskit.cli import (
     ALGORITHMS,
@@ -17,6 +23,8 @@ from bsskit.cli import (
     validate_scenario,
     write_signals,
 )
+
+SRC_DIR = os.path.dirname(os.path.dirname(bsskit.__file__))
 
 JADE_SCENARIO = """\
 source.1.kind = bpsk
@@ -236,6 +244,20 @@ def test_eval_scores_stored_matrices(tmp_path, capsys):
     assert main(["eval", "--separator", str(tmp_path / "nan.txt"),
                  "--mixing", str(tmp_path / "h.txt")]) == 2
 
+    # a product that overflows, and a finite product whose index overflows
+    write_signals(tmp_path / "eye.txt", np.eye(2))
+    write_signals(tmp_path / "huge.txt", np.full((2, 2), 1e308))
+    write_signals(tmp_path / "large.txt", np.array([[1e200, 3e199], [2e199, 1e200]]))
+    for separator, mixing in (("huge", "huge"), ("large", "eye")):
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bsskit.cli", "eval",
+             "--separator", str(tmp_path / f"{separator}.txt"),
+             "--mixing", str(tmp_path / f"{mixing}.txt")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
+        assert run.returncode == 2, run.stderr
+        assert run.stdout == ""
+        assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
 
 def test_environment_seed_override(tmp_path, monkeypatch):
     scenario = put(tmp_path, ADAPTIVE_SCENARIO)
@@ -277,12 +299,37 @@ def _strict_json(line):
 @pytest.mark.parametrize("algorithm, status", [
     ("algorithm = jacobi\nalgorithm.max_sweeps = 0\n", "NotConverged"),
     ("algorithm = cma\nalgorithm.step_size = 50\n", "Diverged"),
-], ids=["jacobi_sweep_cap", "cma_diverging"])
+    ("algorithm = cma\nalgorithm.epochs = 0\n", "InvalidSpec"),
+], ids=["jacobi_sweep_cap", "cma_diverging", "cma_no_epochs"])
 def test_capped_or_diverging_runs_are_never_ok(tmp_path, algorithm, status):
     out = tmp_path / "r.jsonl"
     assert main(["run", put(tmp_path, THREE_BPSK + algorithm), "--out", str(out)]) == 3
     recs = [_strict_json(line) for line in out.read_text().splitlines()]
     assert [(rec["status"], rec["index_db"]) for rec in recs] == [(status, None)]
+
+
+_FUZZ_KEYS = ["algorithm", "samples", "seed", "repetitions", "mixing", "source.1.kind",
+              "source.1.ar_coefficient", "mixing.matrix", "mixing.tap.0", "mixing.noise_std",
+              "algorithm.step_size", "algorithm.mode", "algorithm.max_sweeps"]
+_FUZZ_VALUES = ["jade", "adaptive", "1", "-3", "2.5", "1e400", "nan", "1 2 ; 3 4", "1 ; 2 3", ";",
+                "uniform", "relative", "random_condition(nan)", "1_000", "99999999999999999999999"]
+_fuzz_line = st.builds(
+    lambda key, sep, value: key + sep + value,
+    st.one_of(st.sampled_from(_FUZZ_KEYS), st.text(max_size=8)),
+    st.sampled_from([" = ", "=", " == ", " "]),
+    st.one_of(st.sampled_from(_FUZZ_VALUES), st.text(max_size=8), st.integers().map(str),
+              st.floats().map(repr)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_fuzz_line, max_size=4).map("\n".join)))
+@example("samples = 99999999999999999999999")  # beyond int64: once a TypeError from isfinite
+def test_parse_scenario_raises_only_config_errors(text):
+    try:
+        parse_scenario(text)
+    except ConfigError:
+        pass
 
 
 def test_fastica_variant_without_a_step_size_key_is_rejected(tmp_path):

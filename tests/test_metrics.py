@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsskit import (
     DimensionMismatch,
@@ -74,3 +76,19 @@ def test_residual_zero_iff_generalized_permutation():
     assert resolve_permutation_scale(gp)[2] < 1e-12
     leaky = np.array([[1.0, 1e-3], [0.0, 1.0]])
     assert resolve_permutation_scale(leaky)[2] > 1e-12
+
+
+# A per-row gain is not a symmetry: the index is one global leak-to-signal
+# power ratio, so scaling rows by diag(1, 10, 0.1) moves it by several dB.
+# Only signs and one common positive scale leave it unchanged.  The leak is
+# a row's power minus its assigned entry's, so rounding moves the index by
+# about eps * signal / leak dB; every entry of the draws leaks 1-100 % power.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3))
+def test_index_invariant_under_row_signs_and_a_common_scale(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    S = np.eye(n)[rng.permutation(n)] + rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.1, 1.0, (n, n))
+    signs = rng.choice([-1.0, 1.0], n)
+    base = separation_index(S)
+    assert separation_index(signs[:, None] * S) == base
+    assert abs(separation_index(scale * S) - base) < 1e-12
