@@ -24,7 +24,8 @@ from .errors import (
     ZeroContraction,
     ZeroUpdate,
 )
-from .moments import Cumulant4Tensor, _as_data, cumulant_matrix, estimate_cum4, tucker_transform, unfold
+from .moments import (Cumulant4Tensor, _as_data, _pair_products, cumulant_matrix, estimate_cum4,
+                      tucker_transform, unfold)
 from .second_order import Separator, Whitener, fix_signs, whiten
 from .signals import SignalMatrix, window_stack
 
@@ -515,9 +516,16 @@ class DetCmResult:
 def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     """Solve the constant-modulus equations on a data block.
 
-    Builds P with rows (u (x) u)^T and solves P w = 1 in the least-squares
-    sense, then extracts g from the dominant eigenpair of the symmetrized
-    reshape of w, scaled so the output has unit modulus:
+    The equations are P w = 1, where P has rows (u (x) u)^T (van der Veen &
+    Paulraj 1996).  P is never built.  The block is sphered through
+    M2 = E[u u^T] = B B^T, z = B^-1 u, and the pair products z_i z_j
+    (i <= j, the i < j ones scaled by sqrt 2 so that singular values and
+    minimum-norm solutions equal those of all N^2 columns), with a ones
+    column beside them, are streamed through a running QR.  Its R factor
+    gives P = Q R_x with R_x = R_z (B (x) B)^T, and the component Q^T 1, so
+    the rank, the minimum-norm least-squares w and its row space come from
+    the SVD of the small R_x.  g is then read off the dominant eigenpair of
+    the symmetrized reshape of w, scaled so the output has unit modulus:
     g = sqrt(|eig|) v.
 
     Finite-alphabet inputs excite strictly fewer than N(N+1)/2 independent
@@ -527,17 +535,42 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     approximation is therefore refined in two stages: alternating
     projections between the solution family and the symmetric rank-one
     matrices walk toward a vertex, then a damped Gauss-Newton descent of
-    the block modulus error sum((g'u)^2 - 1)^2 finishes the job (the
-    Jacobian rows 2 y_t u_t' make each step one linear solve).  With a
-    unique LS solution both stages are no-ops.  Raises RankDeficient below
-    the binary-excitation rank 1 + N(N-1)/2.
+    the block modulus error sum((g'u)^2 - 1)^2 finishes the job.  It runs
+    in sphered coordinates h = B^T g, where that error is
+    ||R_z a(h) - Q^T 1||^2 plus a constant, a(h) holding the scaled pair
+    products of h, so a step costs O(N^5) and no pass over the block.  Once
+    no damped step lowers the error, plain Gauss-Newton steps whose
+    gradient is taken on the block continue while they lower the error
+    measured there, which is what ``residual`` reports.  With a unique LS
+    solution both stages are no-ops.  ``max_refinements`` caps the steps
+    of both stages together.  Raises RankDeficient below the
+    binary-excitation rank 1 + N(N-1)/2.
     """
     X = _as_data(U)
     N, T = X.shape
-    P = (X[:, None, :] * X[None, :, :]).reshape(N * N, T).T
-    ones = np.ones(T)
-    left, svals, right_t = np.linalg.svd(P, full_matrices=False)
-    tol = max(P.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    eps = np.finfo(float).eps
+    lam, V = np.linalg.eigh(X @ X.T / max(T, 1))
+    if not lam[-1] > 0.0:
+        raise RankDeficient(f"regressor rank 0 below identifiable minimum {1 + N * (N - 1) // 2}")
+    # a null direction of M2 is floored rather than dropped, so the SVD of
+    # R_x, not the sphering, decides the rank
+    root = np.sqrt(np.maximum(lam, eps * lam[-1]))
+    B = V * root  # M2 = B B^T
+    sphere = (V / root).T  # B^-1: z = B^-1 u has E[z z^T] = I
+    iu, ju = np.triu_indices(N)
+    n = iu.size
+    scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    r_factor = np.zeros((n + 1, n + 1))
+    for P in _pair_products(X, sphere):
+        rows = np.ones((P.shape[1], n + 1))
+        rows[:, :n] = P.T * scale
+        r_factor = np.linalg.qr(np.vstack((r_factor, rows)), mode="r")
+    R_z, qt1 = r_factor[:n, :n], r_factor[:n, n]
+    # the scaled pair coordinates as rows over the N^2 entries of vec(W)
+    halve = np.zeros((n, N * N))
+    halve[np.arange(n), iu * N + ju] = halve[np.arange(n), ju * N + iu] = 1.0 / scale
+    left, svals, right_t = np.linalg.svd(R_z @ halve @ np.kron(B, B).T, full_matrices=False)
+    tol = max(T, N * N) * eps * svals[0]
     rank = int(np.sum(svals > tol))
     min_rank = 1 + N * (N - 1) // 2
     if rank < min_rank:
@@ -545,7 +578,7 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     # minimum-norm LS solution and the row-space projector
     inv_s = np.zeros_like(svals)
     inv_s[:rank] = 1.0 / svals[:rank]
-    w0 = right_t.T @ (inv_s * (left.T @ ones))
+    w0 = right_t.T @ (inv_s * (left.T @ qt1))
     rowspace = right_t[:rank].T  # N^2 x rank, orthonormal columns
 
     w = w0
@@ -569,36 +602,57 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     eigvals, eigvecs = np.linalg.eigh(W)
     k = int(np.argmax(np.abs(eigvals)))
     v = fix_signs(eigvecs[:, k])
-    g = math.sqrt(abs(float(eigvals[k]))) * v
+    h = B.T @ (math.sqrt(abs(float(eigvals[k]))) * v)
+
+    def in_span_error(h):
+        return R_z @ (scale * h[iu] * h[ju]) - qt1
+
+    def in_span_jacobian(h):
+        dpairs = np.zeros((n, N))  # d a(h) / d h
+        dpairs[np.arange(n), iu] += scale * h[ju]
+        dpairs[np.arange(n), ju] += scale * h[iu]
+        return R_z @ dpairs
 
     damping = 1e-10
-    y = g @ X
-    errs = y * y - 1.0
-    cost = float(errs @ errs)
-    for _ in range(max_refinements):
-        if cost < 1e-28:
-            break
-        jac = 2.0 * (y[None, :] * X)  # columns 2 y_t u_t
-        gram = jac @ jac.T
-        grad = jac @ errs
-        accepted = False
+    err = in_span_error(h)
+    cost = float(err @ err)
+    steps = 0
+    while steps < max_refinements and cost >= 1e-28:
+        jac = in_span_jacobian(h)
+        gram, grad = jac.T @ jac, jac.T @ err
         while damping < 1e12:
             step = np.linalg.solve(gram + damping * np.eye(N), grad)
-            g_try = g - step
-            y_try = g_try @ X
-            errs_try = y_try * y_try - 1.0
-            cost_try = float(errs_try @ errs_try)
+            err_try = in_span_error(h - step)
+            cost_try = float(err_try @ err_try)
             if cost_try < cost:
-                g, y, errs, cost = g_try, y_try, errs_try, cost_try
+                h, err, cost = h - step, err_try, cost_try
                 damping = max(damping * 0.1, 1e-12)
-                accepted = True
                 break
             damping *= 10.0
-        if not accepted:
+        else:
             break
+        steps += 1
 
+    # The R factor cannot see the rounding of g @ X, which sets the floor of
+    # an exact constant-modulus fit, so plain Gauss-Newton steps with the
+    # gradient taken on the block itself finish while they lower its error.
+    jac = in_span_jacobian(h)
+    gram = jac.T @ jac
+    g = sphere.T @ h
+    y = g @ X
+    err = y * y - 1.0
+    cost = float(err @ err)
+    for _ in range(max_refinements - steps):
+        step = sphere.T @ np.linalg.lstsq(gram, 2.0 * (sphere @ (X @ (y * err))), rcond=None)[0]
+        y_try = (g - step) @ X
+        err_try = y_try * y_try - 1.0
+        cost_try = float(err_try @ err_try)
+        if not cost_try < cost:
+            break
+        g, y, err, cost = g - step, y_try, err_try, cost_try
     g = fix_signs(g)
-    residual = float(np.linalg.norm((g @ X) ** 2 - 1.0) / math.sqrt(T))
+    residual = math.sqrt(cost / T)
+
     # report the quadratic form actually attained, kept inside the LS family
     w_final = np.outer(g, g).reshape(N * N)
     w_final = w_final + rowspace @ (rowspace.T @ (w0 - w_final))

@@ -47,6 +47,8 @@ from .signals import SOURCE_KINDS, MixingModel, SourceSpec, generate_sources, mi
 
 MIXING_NAMES = ("identity", "random_orthogonal", "static", "noisy", "convolutive")
 
+# numpy refuses an array whose byte count exceeds the largest intp
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _TOP_KEYS = {"seed": int, "samples": int, "repetitions": int, "algorithm": str, "mixing": str}
 
 _SOURCE_KEY = re.compile(r"^source\.(\d+)\.(kind|ar_coefficient)$")
@@ -146,6 +148,8 @@ def validate_scenario(scenario):
         raise ConfigError("seed must be >= 0")
     if scenario["samples"] < 1:
         raise ConfigError("samples must be >= 1")
+    if scenario["samples"] > _MAX_SAMPLES:
+        raise ConfigError(f"samples must be <= {_MAX_SAMPLES}, the most float64 values one array can hold")
     if scenario["repetitions"] < 0:
         raise ConfigError("repetitions must be >= 0")
     algorithm = _coerce("algorithm", scenario["algorithm"], tuple(ALGORITHMS))

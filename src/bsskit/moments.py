@@ -19,9 +19,9 @@ from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, LagTooLar
 
 _INV_PERMS4 = [tuple(np.argsort(perm)) for perm in itertools.permutations(range(4))]
 
-# Samples per pair-product block in estimate_cum4: the block buffer holds
-# N(N+1)/2 x 4 096 floats (1.2 MB at N = 8), small next to the data itself.
-_CUM4_BLOCK = 4096
+# Samples per pair-product block: the block buffer holds N(N+1)/2 x 4 096
+# floats (1.2 MB at N = 8), small next to the data itself.
+_PAIR_BLOCK = 4096
 
 _VAR_FLOOR = 1e-12
 
@@ -110,6 +110,26 @@ def sample_covariance(U, lag: int = 0) -> LaggedCovariance:
     return LaggedCovariance(lag=lag, matrix=C)
 
 
+def _pair_products(X: np.ndarray, transform: np.ndarray | None = None):
+    """Pair products of the samples of X, _PAIR_BLOCK samples at a time.
+
+    Yields N(N+1)/2 x b blocks whose rows are x_i x_j for i <= j in
+    np.triu_indices order, of ``transform @ x`` when a transform is given.
+    Every block is a view of one buffer, overwritten by the next.
+    """
+    N, T = X.shape
+    rows = np.cumsum([0] + list(range(N, 0, -1)))  # first pair row of each i
+    pairs = np.empty((rows[-1], min(T, _PAIR_BLOCK)))
+    for start in range(0, T, _PAIR_BLOCK):
+        block = X[:, start:start + _PAIR_BLOCK]
+        if transform is not None:
+            block = transform @ block
+        P = pairs[:, :block.shape[1]]
+        for i in range(N):
+            np.multiply(block[i], block[i:], out=P[rows[i]:rows[i + 1]])
+        yield P
+
+
 def estimate_cum4(U) -> Cumulant4Tensor:
     """Fourth-order cumulant tensor from sample moments.
 
@@ -124,19 +144,14 @@ def estimate_cum4(U) -> Cumulant4Tensor:
     N, T = X.shape
     X = X - X.mean(axis=1, keepdims=True)
     m2 = X @ X.T / T
-    rows = np.cumsum([0] + list(range(N, 0, -1)))  # first pair row of each i
-    pairs = np.empty((rows[-1], min(T, _CUM4_BLOCK)))
-    gram = np.zeros((rows[-1], rows[-1]))
-    for start in range(0, T, _CUM4_BLOCK):
-        block = X[:, start:start + _CUM4_BLOCK]
-        P = pairs[:, :block.shape[1]]
-        for i in range(N):
-            np.multiply(block[i], block[i:], out=P[rows[i]:rows[i + 1]])
+    n = N * (N + 1) // 2
+    gram = np.zeros((n, n))
+    for P in _pair_products(X):
         gram += P @ P.T
     gram /= T
     iu, ju = np.triu_indices(N)  # the pair rows' (i, j), in row order
     pair_of = np.empty((N, N), dtype=np.intp)
-    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(rows[-1])
+    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(n)
     m4 = gram[np.ix_(pair_of.ravel(), pair_of.ravel())].reshape(N, N, N, N)
     cum = (
         m4

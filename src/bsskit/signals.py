@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, InvalidSpec
 SOURCE_KINDS = ("bpsk", "uniform", "laplace", "gaussian", "ar1")
 
 _AR_BURN_IN = 1000
+_AR_BLOCK = 64  # samples per block of the AR(1) filter
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,28 @@ def _draw(spec: SourceSpec, T: int, rng: np.random.Generator) -> np.ndarray:
     rho = spec.ar_coefficient
     innov_std = math.sqrt(1.0 - rho * rho)
     e = rng.standard_normal(T + _AR_BURN_IN) * innov_std
-    x = np.empty(T + _AR_BURN_IN)
+    return _ar1_filter(rho, e)[_AR_BURN_IN:]
+
+
+def _ar1_filter(rho: float, e: np.ndarray) -> np.ndarray:
+    # x[n] = rho x[n-1] + e[n] from a zero state, _AR_BLOCK samples at a time:
+    # one GEMM with the lower-triangular Toeplitz matrix of rho powers gives
+    # every block's zero-state response, and rho^(i+1) x_prev carries the
+    # state of the block before in.
+    blocks = -(-e.size // _AR_BLOCK)
+    E = np.zeros((blocks, _AR_BLOCK))
+    E.ravel()[:e.size] = e
+    powers = rho ** np.arange(_AR_BLOCK + 1)
+    lags = np.arange(_AR_BLOCK)
+    toeplitz = np.tril(powers[np.abs(lags[:, None] - lags[None, :])])
+    X = E @ toeplitz.T
+    states = np.empty(blocks)  # x_prev of each block
     prev = 0.0
-    for n in range(T + _AR_BURN_IN):
-        prev = rho * prev + e[n]
-        x[n] = prev
-    return x[_AR_BURN_IN:]
+    for b, end in enumerate(X[:, -1].tolist()):
+        states[b] = prev
+        prev = end + powers[-1] * prev
+    X += states[:, None] * powers[1:]
+    return X.ravel()[:e.size]
 
 
 def generate_sources(specs, T: int) -> SignalMatrix:

@@ -17,6 +17,7 @@ from bsskit import (
     SourceSpec,
     deterministic_cm,
     estimate_cum4,
+    fix_signs,
     generate_sources,
     hoevd,
     hopm,
@@ -482,3 +483,144 @@ def test_det_cm_gaussian_block_reports_large_residual():
 def test_det_cm_needs_enough_excitation():
     with pytest.raises(RankDeficient):
         deterministic_cm(np.ones((2, 10)))
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 1.0]],  # two equal channels
+    [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # two of three channels equal
+], ids=["n2", "n3"])
+def test_det_cm_singular_covariance_is_rank_deficient(rows):
+    # M2 = X X^T / T is singular, so the sphering has a null direction
+    A = np.random.default_rng(62).standard_normal((len(rows), 500))
+    with np.errstate(all="raise"):  # no NaN or overflow on the way
+        with pytest.raises(RankDeficient):
+            deterministic_cm(np.array(rows).T @ A)
+
+
+def reference_deterministic_cm(U, max_refinements=200):
+    # The SVD-of-P implementation that the streamed R factor replaced: it
+    # builds the T x N^2 regressor and refines in raw coordinates on the data.
+    X = np.asarray(getattr(U, "data", U), dtype=float)
+    N, T = X.shape
+    P = (X[:, None, :] * X[None, :, :]).reshape(N * N, T).T
+    ones = np.ones(T)
+    left, svals, right_t = np.linalg.svd(P, full_matrices=False)
+    tol = max(P.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
+    rank = int(np.sum(svals > tol))
+    min_rank = 1 + N * (N - 1) // 2
+    if rank < min_rank:
+        raise RankDeficient(f"regressor rank {rank} below identifiable minimum {min_rank}")
+    inv_s = np.zeros_like(svals)
+    inv_s[:rank] = 1.0 / svals[:rank]
+    w0 = right_t.T @ (inv_s * (left.T @ ones))
+    rowspace = right_t[:rank].T
+
+    w = w0
+    for _ in range(50):
+        W = w.reshape(N, N)
+        W = (W + W.T) / 2.0
+        eigvals, eigvecs = np.linalg.eigh(W)
+        k = int(np.argmax(np.abs(eigvals)))
+        x = (eigvals[k] * np.outer(eigvecs[:, k], eigvecs[:, k])).reshape(N * N)
+        w_new = x + rowspace @ (rowspace.T @ (w0 - x))
+        if np.linalg.norm(w_new - w) < 1e-15 * max(1.0, np.linalg.norm(w)):
+            w = w_new
+            break
+        w = w_new
+
+    W = w.reshape(N, N)
+    W = (W + W.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(W)
+    k = int(np.argmax(np.abs(eigvals)))
+    g = math.sqrt(abs(float(eigvals[k]))) * fix_signs(eigvecs[:, k])
+
+    damping = 1e-10
+    y = g @ X
+    errs = y * y - 1.0
+    cost = float(errs @ errs)
+    for _ in range(max_refinements):
+        if cost < 1e-28:
+            break
+        jac = 2.0 * (y[None, :] * X)
+        gram = jac @ jac.T
+        grad = jac @ errs
+        accepted = False
+        while damping < 1e12:
+            step = np.linalg.solve(gram + damping * np.eye(N), grad)
+            y_try = (g - step) @ X
+            errs_try = y_try * y_try - 1.0
+            cost_try = float(errs_try @ errs_try)
+            if cost_try < cost:
+                g, y, errs, cost = g - step, y_try, errs_try, cost_try
+                damping = max(damping * 0.1, 1e-12)
+                accepted = True
+                break
+            damping *= 10.0
+        if not accepted:
+            break
+    g = fix_signs(g)
+    residual = float(np.linalg.norm((g @ X) ** 2 - 1.0) / math.sqrt(T))
+    return g, residual, rank
+
+
+def conditioned_mixing(n, cond, seed):
+    rng = np.random.default_rng(seed)
+    qu, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    qv, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return qu @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ qv.T
+
+
+@pytest.mark.parametrize("samples", [64, 20_000])
+@pytest.mark.parametrize("cond", [1.0, 10.0, 1e3, 1e4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["bpsk", "uniform", "laplace"])
+def test_det_cm_matches_the_svd_reference(kind, n, cond, samples):
+    seed = 1000 * n + samples % 997 + int(math.log10(cond)) * 10 + ["bpsk", "uniform", "laplace"].index(kind)
+    H = conditioned_mixing(n, cond, seed)
+    X = H @ generate_sources([SourceSpec(kind, seed=seed + i) for i in range(n)], samples).data
+    try:
+        g_ref, residual_ref, rank_ref = reference_deterministic_cm(X)
+    except RankDeficient:
+        with pytest.raises(RankDeficient):
+            deterministic_cm(X)
+        return
+    res = deterministic_cm(X)
+    assert res.rank == rank_ref
+    if kind == "bpsk":
+        assert res.residual <= 1e-12
+    else:
+        assert abs(res.residual - residual_ref) <= 1e-9 * residual_ref
+    if kind == "bpsk" and cond == 1.0 and n > 1:
+        # Orthogonal mixing keeps sum_i u_i^2 = N on every binary sample, so
+        # the minimum-norm LS solution is exactly I / N, as near to every
+        # vertex as to any other: rounding picks the vertex, in both codes.
+        # Both must still have extracted one source exactly.
+        for g in (g_ref, res.g):
+            gains = np.sort(np.abs(g @ H))
+            assert abs(gains[-1] - 1.0) < 1e-9 and gains[-2] < 1e-9
+        return
+    assert np.argmax(np.abs(res.g @ H)) == np.argmax(np.abs(g_ref @ H))
+    assert np.linalg.norm(res.g - g_ref) <= 1e-6 * np.linalg.norm(g_ref)
+
+
+def test_det_cm_binary_residual_stays_at_the_rounding_floor():
+    # At mixing condition 1e4 |g| reaches ~1e4, so the rounding of g @ X
+    # alone is ~1e-12; the fit must still be exact to that level.
+    worst = 0.0
+    for seed in range(40):
+        H = conditioned_mixing(4, 1e4, 500 + seed)
+        X = H @ generate_sources([SourceSpec("bpsk", seed=1000 * seed + i) for i in range(4)], 64).data
+        worst = max(worst, deterministic_cm(X).residual)
+    assert worst <= 1e-12
+
+
+def test_det_cm_without_refinement_stops_at_the_projection_vertex():
+    H = conditioned_mixing(3, 10.0, 63)
+    X = H @ generate_sources([SourceSpec("uniform", seed=64 + i) for i in range(3)], 2000).data
+    g_ref, residual_ref, _ = reference_deterministic_cm(X, max_refinements=0)
+    vertex = deterministic_cm(X, max_refinements=0)
+    assert np.linalg.norm(vertex.g - g_ref) <= 1e-9 * np.linalg.norm(g_ref)
+    assert abs(vertex.residual - residual_ref) <= 1e-9 * residual_ref
+    # on non-CM data the Gauss-Newton stage moves g and lowers the residual
+    refined = deterministic_cm(X)
+    assert refined.residual < vertex.residual - 1e-3

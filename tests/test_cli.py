@@ -120,6 +120,13 @@ def test_strict_parsing_rejects_malformed_scenarios(tmp_path):
         # only the unimodal equalizer takes a convolutive mixture
         validate_scenario(parse_scenario(FIR_BPSK + "algorithm = jade"))
 
+    # more samples than one float64 array can hold: rejected before anything is allocated
+    for samples in ("99999999999999999999999", str(2**62)):
+        huge = THREE_BPSK.replace("samples = 2000", f"samples = {samples}") + "algorithm = jade\n"
+        with pytest.raises(ConfigError, match="samples"):
+            validate_scenario(parse_scenario(huge))
+        assert main(["run", put(tmp_path, huge, "huge.cfg")]) == 2
+
     bad = put(tmp_path, "source.1.kind = bpsk\nwat = 1\n")
     assert main(["run", bad]) == 2
 

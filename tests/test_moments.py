@@ -26,7 +26,7 @@ from bsskit import (
     unfold,
     whiten,
 )
-from bsskit.moments import _CUM4_BLOCK, _symmetrize4
+from bsskit.moments import _PAIR_BLOCK, _symmetrize4
 
 
 def exact_tensor(c4s):
@@ -129,7 +129,7 @@ def test_cum4_super_symmetry_spot_check():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
 @pytest.mark.parametrize("samples", [
-    _CUM4_BLOCK // 3, _CUM4_BLOCK, _CUM4_BLOCK + 1, 3 * _CUM4_BLOCK + 517,
+    _PAIR_BLOCK // 3, _PAIR_BLOCK, _PAIR_BLOCK + 1, 3 * _PAIR_BLOCK + 517,
 ], ids=["below_one_block", "one_block", "one_block_plus_one", "several_blocks_and_a_part"])
 def test_cum4_matches_the_einsum_reference(n, samples):
     rng = np.random.default_rng(100 * n + samples % 97)
@@ -160,7 +160,7 @@ def test_cumulant_matrix_applies_the_2x2_unfolding():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6), st.integers(2, 3 * _CUM4_BLOCK), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 6), st.integers(2, 3 * _PAIR_BLOCK), st.integers(0, 2**32 - 1))
 def test_cum4_is_multilinear(n, samples, seed):
     rng = np.random.default_rng(seed)
     X = rng.laplace(size=(n, samples)) + rng.standard_normal((n, 1))

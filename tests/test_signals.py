@@ -15,6 +15,7 @@ from bsskit import (
     mix,
     window_stack,
 )
+from bsskit.signals import _AR_BURN_IN, _ar1_filter
 
 SQRT3 = np.sqrt(3.0)
 
@@ -53,6 +54,28 @@ def test_ar1_lag_one_autocorrelation():
     rho = np.mean(x[1:] * x[:-1]) / x.var()
     assert abs(rho - 0.9) < 0.02
     assert abs(x.var() - 1.0) < 0.05
+
+
+def scalar_ar1(rho, e):
+    x = np.empty(e.size)
+    prev = 0.0
+    for n in range(e.size):
+        prev = rho * prev + e[n]
+        x[n] = prev
+    return x
+
+
+@pytest.mark.parametrize("rho", [0.999, 0.9, 0.5, 0.0, -0.5, -0.999])
+def test_blocked_ar1_matches_the_scalar_loop(rho):
+    innov_std = np.sqrt(1.0 - rho * rho)
+    for length in (1, 63, 64, 65):
+        e = np.random.default_rng(length).standard_normal(length) * innov_std
+        assert np.max(np.abs(_ar1_filter(rho, e) - scalar_ar1(rho, e))) <= 1e-12
+    # 401 000 samples through generate_sources: same innovation draw, burn-in dropped
+    T = 401_000 - _AR_BURN_IN
+    x = generate_sources([SourceSpec("ar1", ar_coefficient=rho, seed=9)], T).data[0]
+    e = np.random.default_rng([9, 0]).standard_normal(T + _AR_BURN_IN) * innov_std
+    assert np.max(np.abs(x - scalar_ar1(rho, e)[_AR_BURN_IN:])) <= 1e-12
 
 
 def test_determinism_same_seed():
