@@ -30,6 +30,8 @@ from .second_order import Separator, Whitener, fix_signs, whiten
 from .signals import SignalMatrix, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
+# windows per block of the unimodal equalizer's W recursion
+_UNIMODAL_BLOCK = 64
 
 # theta_k = k pi / 10: the pair mass has period pi/2 in theta, so these are
 # five equispaced samples of one period in phi = 4 theta
@@ -396,7 +398,7 @@ class UnimodalResult:
     g and W live in the sphered window coordinates defined by ``whitener``;
     trajectory holds g after each epoch.  max_g_norm_dev and
     max_w_asymmetry are running diagnostics of the invariants the recursion
-    is supposed to keep (unit norm, exact symmetry).
+    keeps up to rounding (unit norm of g, symmetry of W).
     """
 
     g: np.ndarray
@@ -432,6 +434,23 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     matches.  That vertex is an exact fixed point of the W recursion for
     unit-modulus window content, so the online updates hold it in place.
     ``init="zero"`` starts the recursion bare.
+
+    The W recursion runs exactly, but a block X_b = [u_1 ... u_B] of B = 64
+    windows at a time.  Window t's coefficient c_t = gain_t (1 - u_t^T W u_t)
+    sees the block's earlier updates c_s u_s u_s^T only through
+    (u_s^T u_t)^2, so with W_b the matrix at the block's start the
+    coefficients solve one unit-lower-triangular system
+
+        (I + diag(gain) L) c = gain * (1 - diag(X_b^T W_b X_b)),
+        L_ts = (u_s^T u_t)^2 for s < t and 0 otherwise,
+
+    and W_{b+1} = W_b + X_b diag(c) X_b^T is one GEMM.  g still steps once
+    per window, on the W that includes that window's update, in the factored
+    form g + mu2 W g = [I + mu2 W_b | mu2 X_b diag(c)] [g; X_b^T g] with the
+    block's columns cut off after window t.  The block GEMM rounds the two
+    triangles of W apart, so W's symmetry is no longer exact by
+    construction: max_w_asymmetry reports the true max |W - W^T|, measured
+    at every block end.  max_g_norm_dev is still taken over every window.
     """
     # mu2 = 0 is allowed: it freezes g and leaves only the W fit running
     if mu1 <= 0 or mu2 < 0:
@@ -457,37 +476,48 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     else:
         W = np.zeros((K, K))
 
+    B = min(_UNIMODAL_BLOCK, T)
+    A = np.empty((K, K + B), order="F")  # [I + mu2 W_b | mu2 X_b diag(c)]
+    eye = np.eye(K)
+    Z = np.empty((K + B, K))  # [I; X_b^T]
+    Z[:K] = eye
+    G = np.empty((B, K))  # normalized g after each window of the block
+    # window t of a block reads the first K + t + 1 columns of A and rows of
+    # Z; Fortran order keeps those column slices contiguous for ndarray.dot
+    steps = [(A[:, :K + t + 1], Z[:K + t + 1], G[t]) for t in range(B)]
     g = np.zeros(K)
     g[0] = 1.0
-    outer_buf = np.empty((K, K))
     max_norm_dev = 0.0
     max_asym = 0.0
     trajectory = []
-    check_stride = 251  # symmetry is exact by construction; spot-check anyway
-    step = 0
     for _ in range(epochs):
-        for t in range(T):
-            u = X[:, t]
-            Wu = W @ u
-            err = 1.0 - float(u @ Wu)
-            nu4 = float(u @ u) ** 2
-            gain = mu1 / (1.0 + mu1 * nu4)
-            np.outer(u, u, out=outer_buf)
-            outer_buf *= gain * err
-            W += outer_buf
-            g_plus = g + mu2 * (W @ g)
-            norm = float(np.linalg.norm(g_plus))
-            if norm < 1e-12:
-                raise ZeroUpdate("equalizer vector vanished")
-            g = g_plus / norm
-            max_norm_dev = max(max_norm_dev, abs(float(np.linalg.norm(g)) - 1.0))
-            if step % check_stride == 0:
-                max_asym = max(max_asym, float(np.max(np.abs(W - W.T))))
-            step += 1
+        for start in range(0, T, B):
+            Xb = X[:, start:start + B]
+            m = Xb.shape[1]
+            gram = Xb.T @ Xb
+            norm2 = np.diagonal(gram)
+            gain = mu1 / (1.0 + mu1 * (norm2 * norm2))
+            M = np.tril(gram * gram, -1)
+            M *= gain[:, None]
+            np.fill_diagonal(M, 1.0)
+            c = np.linalg.solve(M, gain * (1.0 - np.einsum("it,it->t", W @ Xb, Xb)))
+            np.add(eye, mu2 * W, out=A[:, :K])
+            np.multiply(Xb, mu2 * c, out=A[:, K:K + m])
+            Z[K:K + m] = Xb.T
+            for a, z, row in steps[:m]:
+                gp = a.dot(z.dot(g))
+                norm = math.sqrt(gp.dot(gp))
+                if norm < 1e-12:
+                    raise ZeroUpdate("equalizer vector vanished")
+                np.divide(gp, norm, row)
+                g = row
+            W += (Xb * c) @ Xb.T
+            norms = np.linalg.norm(G[:m], axis=1)
+            max_norm_dev = max(max_norm_dev, float(np.max(np.abs(norms - 1.0))))
+            max_asym = max(max_asym, float(np.max(np.abs(W - W.T))))
         trajectory.append(g.copy())
-        max_asym = max(max_asym, float(np.max(np.abs(W - W.T))))
     return UnimodalResult(
-        g=g,
+        g=g.copy(),
         trajectory=tuple(trajectory),
         W=W,
         whitener=whitener,

@@ -172,7 +172,7 @@ def cumulant_matrix(U, M) -> np.ndarray:
     """
     X = _as_data(U)
     K, T = X.shape
-    s = np.einsum("it,ij,jt->t", X, M, X, optimize=True)
+    s = np.einsum("it,it->t", M @ X, X)
     W = (X * s) @ X.T / T
     W -= np.trace(M) * np.eye(K) + 2.0 * M
     return W

@@ -159,6 +159,17 @@ def test_cumulant_matrix_applies_the_2x2_unfolding():
         assert np.max(np.abs(cumulant_matrix(Z, M) - (B @ M.ravel()).reshape(3, 3))) < 1e-10
 
 
+def test_cumulant_matrix_matches_the_three_operand_form():
+    rng = np.random.default_rng(22)
+    _, Z = whiten(rng.laplace(size=(64, 5_000)))
+    M = rng.standard_normal((64, 64))  # not symmetric
+    X = Z.data
+    s = np.einsum("it,ij,jt->t", X, M, X, optimize=True)
+    want = (X * s) @ X.T / X.shape[1] - np.trace(M) * np.eye(64) - 2.0 * M
+    got = cumulant_matrix(Z, M)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.integers(2, 3 * _PAIR_BLOCK), st.integers(0, 2**32 - 1))
 def test_cum4_is_multilinear(n, samples, seed):
