@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
 from .moments import _as_data
-from .scores import ScoreFunction, make_score
+from .scores import make_score
 from .second_order import Separator, whiten
 
 _DET_FLOOR = 1e-12
@@ -190,7 +190,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
         g_scores = [make_score(_ANTI_HEBBIAN_SCORE) for _ in range(N)]
 
     # the scores that keep state see each output sample before the update
-    tracking = [(i, s) for i, s in enumerate(scores) if type(s).update is not ScoreFunction.update]
+    tracking = [(i, s) for i, s in enumerate(scores) if s.keeps_state]
     record = all(s.has_log_phi for s in scores)
     trajectory = []
     for _ in range(cfg.max_iterations):

@@ -17,7 +17,15 @@ _FORGETTING = 0.99  # of the sign-switching score's running moments
 
 
 class ScoreFunction:
-    """Interface: f(y), fprime(y), optional log_phi(y), update(y), batch_key()."""
+    """Interface of a score.
+
+    A subclass defines f(y) and fprime(y), elementwise over an array y, and
+    may define log_phi(y).  f_and_fprime(y) returns both at once and calls
+    f and fprime unless a subclass shares their work.  A score that keeps
+    state overrides update(y), which callers feed the outputs before they
+    evaluate f; keeps_state tells the two kinds apart.  batch_key() groups
+    scores whose f is one elementwise function.
+    """
 
     kind = "base"
     has_log_phi = False
@@ -33,11 +41,20 @@ class ScoreFunction:
     def fprime(self, y):
         raise NotImplementedError
 
+    def f_and_fprime(self, y):
+        """(f(y), fprime(y)) from one call."""
+        return self.f(y), self.fprime(y)
+
     def log_phi(self, y):
         raise InvalidSpec(f"score {self.kind!r} has no closed-form log-density")
 
     def update(self, y):
         """Feed data to state-tracking scores; a no-op for fixed ones."""
+
+    @property
+    def keeps_state(self) -> bool:
+        """True when update() does something, so the score must see the data."""
+        return type(self).update is not ScoreFunction.update
 
 
 class CubicScore(ScoreFunction):
@@ -71,6 +88,10 @@ class TanhScore(ScoreFunction):
     def fprime(self, y):
         t = np.tanh(y)
         return 1.0 - t * t
+
+    def f_and_fprime(self, y):
+        t = np.tanh(y)  # taken once for both
+        return t, 1.0 - t * t
 
     def log_phi(self, y):
         # -log cosh(y), computed via |y| to avoid overflow for large y.

@@ -1,5 +1,7 @@
 """One-unit extraction: step variants, deflation, CMA, Donoho contrast."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,15 @@ from bsskit import (
     donoho_contrast,
     estimate_cum4,
     fastica_step,
+    fix_signs,
     generate_sources,
     make_score,
     mix,
     separation_index,
     whiten,
 )
+from bsskit.fixedpoint import _NORM_FLOOR, _STEP_BLOCK
+from bsskit.moments import _as_data
 
 BPSK_PAIR = np.array([[1.0, 1.0, -1.0, -1.0],
                       [1.0, -1.0, 1.0, -1.0]])
@@ -37,6 +42,46 @@ class FlatScore(ScoreFunction):
 
     def fprime(self, y):
         return np.zeros_like(y)
+
+
+class BumpScore(ScoreFunction):
+    # a custom score defining only f and fprime: f(y) = y exp(-y^2 / 2)
+    kind = "bump"
+
+    def f(self, y):
+        return y * np.exp(-0.5 * y * y)
+
+    def fprime(self, y):
+        return (1.0 - y * y) * np.exp(-0.5 * y * y)
+
+
+def reference_fastica_step(state, U, score, variant="newton", mu=None):
+    """The unblocked step: full-length y, f and f', then means."""
+    X = _as_data(U)
+    g = np.asarray(state.g, dtype=float)
+    y = g @ X
+    score.update(y)
+    f = score.f(y)
+    euf = X @ f / X.shape[1]
+    beta = float(np.mean(y * f))
+    if variant == "newton":
+        g_plus = euf - float(np.mean(score.fprime(y))) * g
+    elif variant == "fixed_point":
+        g_plus = euf
+    else:
+        g_plus = g + mu * (euf - beta * g)
+    norm = np.linalg.norm(g_plus)
+    if norm < _NORM_FLOOR:
+        raise ZeroUpdate(f"update norm {norm:.3e} below {_NORM_FLOOR:.0e}")
+    g_plus = fix_signs(g_plus / norm)
+    return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
+
+
+def subgaussian_sign_switching():
+    s = make_score("sign_switching")
+    s.update(np.random.default_rng(31).uniform(-1.7, 1.7, 400))
+    assert s.kurtosis_sign == -1.0
+    return s
 
 
 def three_point_atoms(spread):
@@ -264,7 +309,55 @@ def test_guards_and_failure_reporting():
         fastica_step(state, X, FlatScore(), variant="fixed_point")
     with pytest.raises(InvalidSpec):
         deflate_extract(X, CubicScore(), count=4)
+    empty = np.zeros((3, 0))
+    with pytest.raises(DimensionMismatch):
+        fastica_step(state, empty, CubicScore())
+    with pytest.raises(DimensionMismatch):
+        deflate_extract(empty, CubicScore(), count=1)
 
     with pytest.raises(NotConverged) as info:
         deflate_extract(X, CubicScore(), count=1, max_iterations=2, tolerance=1e-12)
     assert info.value.index == 0
+
+
+@pytest.mark.parametrize("T", [1, _STEP_BLOCK - 1, _STEP_BLOCK, _STEP_BLOCK + 1, 3 * _STEP_BLOCK + 7])
+def test_blocked_step_matches_the_unblocked_reference(T):
+    rng = np.random.default_rng(T)
+    X = rng.laplace(size=(3, T)) / np.sqrt(2.0)
+    g = rng.standard_normal(3)
+    state = OneUnitState(g=g / np.linalg.norm(g), iteration=4)
+    makers = {"cubic": CubicScore, "tanh": lambda: make_score("tanh"),
+              "sign_switching": subgaussian_sign_switching, "custom": BumpScore}
+    for name, make in makers.items():
+        for variant, mu in (("newton", None), ("fixed_point", None), ("gradient", 0.3)):
+            blocked_score, reference_score = make(), make()
+            blocked = fastica_step(state, X, blocked_score, variant=variant, mu=mu)
+            reference = reference_fastica_step(state, X, reference_score, variant=variant, mu=mu)
+            where = f"{name} {variant} T={T}"
+            assert np.max(np.abs(blocked.g - reference.g)) < 1e-12, where
+            assert abs(blocked.beta - reference.beta) < 1e-12 * max(1.0, abs(reference.beta)), where
+            assert blocked.iteration == reference.iteration == 5
+            if name == "sign_switching":
+                assert (blocked_score.m2, blocked_score.m4) == (reference_score.m2, reference_score.m4)
+
+
+def test_gradient_without_mu_fails_before_the_score_sees_data():
+    X = np.random.default_rng(32).standard_normal((3, 300))
+    score = make_score("sign_switching")
+    with pytest.raises(InvalidSpec):
+        fastica_step(OneUnitState(g=np.array([1.0, 0.0, 0.0])), X, score, variant="gradient")
+    assert (score.m2, score.m4) == (1.0, 3.0)
+
+
+@pytest.mark.parametrize("kind", ["cubic", "tanh"])
+def test_step_never_builds_a_sample_length_array(kind):
+    X = np.random.default_rng(33).standard_normal((4, 200_000))
+    state = OneUnitState(g=np.full(4, 0.5))
+    score = make_score(kind)
+    tracemalloc.start()
+    try:
+        fastica_step(state, X, score)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * X.nbytes

@@ -85,6 +85,22 @@ def test_sign_switching_moments_match_the_power_form():
     assert s.m4 == pytest.approx(lam**y.size * 3.0 + float(w @ y**4), rel=1e-15)
 
 
+@pytest.mark.parametrize("score", [CubicScore(), TanhScore(), sign_switching(1.0),
+                                   sign_switching(-1.0), ScaledLinearScore(0.7)],
+                         ids=["cubic", "tanh", "sign_plus", "sign_minus", "custom"])
+def test_f_and_fprime_is_exactly_f_and_fprime(score):
+    y = np.concatenate([magnitudes()[:2000] * 1e-2, [0.0, -0.0, 40.0, -40.0]])
+    f, fprime = score.f_and_fprime(y)
+    assert np.array_equal(f, score.f(y))
+    assert np.array_equal(fprime, score.fprime(y))
+
+
+def test_only_the_sign_switching_score_keeps_state():
+    assert [make_score(kind).keeps_state for kind in ("cubic", "tanh", "sign_switching")] == [
+        False, False, True]
+    assert not ScaledLinearScore(0.7).keeps_state  # instance parameters are not state
+
+
 # ------------------------------------------------------------ derivatives
 
 
