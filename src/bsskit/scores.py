@@ -14,6 +14,9 @@ from .errors import InvalidSpec
 
 SCORE_KINDS = ("cubic", "tanh", "sign_switching")
 _FORGETTING = 0.99  # of the sign-switching score's running moments
+# samples per block of a batch update: every weight of one block stays far above
+# the subnormal range, where pow is slow (lam^4095 is 1.4e-18)
+_FORGET_BLOCK = 4096
 
 
 class ScoreFunction:
@@ -129,10 +132,14 @@ class SignSwitchingScore(ScoreFunction):
             y2 = float(y2[0])
             self.m2 = lam * self.m2 + (1.0 - lam) * y2
             self.m4 = lam * self.m4 + (1.0 - lam) * (y2 * y2)
-        elif T > 1:  # the same recursion in closed form: weight lam^(T-1-t) (1-lam) on sample t
-            w = (1.0 - lam) * lam ** np.arange(T - 1, -1, -1, dtype=float)
-            self.m2 = lam**T * self.m2 + float(w @ y2)
-            self.m4 = lam**T * self.m4 + float(w @ (y2 * y2))
+        elif T > 1:  # the same recursion in closed form, one block of n samples at a time:
+            # weight lam^(n-1-t) (1-lam) on sample t, and lam^n on the moments before it
+            w = (1.0 - lam) * lam ** np.arange(min(T, _FORGET_BLOCK) - 1, -1, -1, dtype=float)
+            for start in range(0, T, _FORGET_BLOCK):
+                y2_b = y2[start:start + _FORGET_BLOCK]
+                w_b = w[w.size - y2_b.size:]
+                self.m2 = lam**y2_b.size * self.m2 + float(w_b @ y2_b)
+                self.m4 = lam**y2_b.size * self.m4 + float(w_b @ (y2_b * y2_b))
 
     def f(self, y):
         y = np.asarray(y, dtype=float)

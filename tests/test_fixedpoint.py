@@ -1,6 +1,7 @@
 """One-unit extraction: step variants, deflation, CMA, Donoho contrast."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from bsskit import (
     CubicScore,
     DimensionMismatch,
+    Diverged,
     InvalidSpec,
     MixingModel,
     NotConverged,
@@ -15,6 +17,7 @@ from bsskit import (
     ScoreFunction,
     SourceSpec,
     ZeroUpdate,
+    cma,
     cma_step,
     deflate_extract,
     donoho_contrast,
@@ -27,7 +30,7 @@ from bsskit import (
     separation_index,
     whiten,
 )
-from bsskit.fixedpoint import _NORM_FLOOR, _STEP_BLOCK
+from bsskit.fixedpoint import _CMA_BLOCK, _NORM_FLOOR, _STEP_BLOCK
 from bsskit.moments import _as_data
 
 BPSK_PAIR = np.array([[1.0, 1.0, -1.0, -1.0],
@@ -75,6 +78,25 @@ def reference_fastica_step(state, U, score, variant="newton", mu=None):
         raise ZeroUpdate(f"update norm {norm:.3e} below {_NORM_FLOOR:.0e}")
     g_plus = fix_signs(g_plus / norm)
     return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
+
+
+def reference_cma(U, step_size=0.01, epochs=1):
+    """The per-sample loop: cma_step on every sample, every epoch."""
+    X = _as_data(U)
+    g = np.zeros(X.shape[0])
+    g[0] = 1.0
+    trajectory = []
+    for epoch in range(epochs):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for t in range(X.shape[1]):
+                    g = cma_step(g, X[:, t], step_size)
+        except FloatingPointError as exc:
+            raise Diverged(f"cma diverged in epoch {epoch}: {exc}") from exc
+        if not np.all(np.isfinite(g)):
+            raise Diverged(f"cma output is not finite after epoch {epoch}")
+        trajectory.append(g)
+    return g, tuple(trajectory)
 
 
 def subgaussian_sign_switching():
@@ -361,3 +383,56 @@ def test_step_never_builds_a_sample_length_array(kind):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * X.nbytes
+
+
+def unit_power_mixture(kind, N, T, seed):
+    # unit-power BPSK or uniform sources under a random orthogonal mixing
+    rng = np.random.default_rng(seed)
+    if kind == "bpsk":
+        S = rng.choice([-1.0, 1.0], size=(N, T))
+    else:
+        S = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(N, T))
+    Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    return Q @ S
+
+
+# At step 0.05 the uniform runs never settle, so the last-bit differences of
+# the two summation orders grow along the trajectory (9.5e-12 seen at N = 8,
+# T = 199; every other gap seen was below 1.4e-14): hence the looser bound.
+_CMA_STEPS = ((0.0, 0.0), (0.001, 1e-12), (0.01, 1e-12), (0.05, 1e-9))
+
+
+@pytest.mark.parametrize("T", [1, _CMA_BLOCK - 1, _CMA_BLOCK, _CMA_BLOCK + 1, 3 * _CMA_BLOCK + 7, 20_000])
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 16])
+def test_blocked_cma_matches_the_per_sample_loop(N, T):
+    for kind in ("bpsk", "uniform"):
+        X = unit_power_mixture(kind, N, T, seed=100 * N + T)
+        for step_size, bound in _CMA_STEPS:
+            where = f"{kind} N={N} T={T} step={step_size}"
+            try:
+                # the loop's first epochs are exactly its shorter runs
+                _, reference = reference_cma(X, step_size, epochs=3)
+            except Diverged:  # step 0.05 at N = 8 and 16
+                with pytest.raises(Diverged):
+                    cma(X, step_size, epochs=3)
+                continue
+            for epochs in (1, 2, 3):
+                g, trajectory = cma(X, step_size, epochs)
+                assert len(trajectory) == epochs, where
+                assert g is trajectory[-1], where
+                for blocked, looped in zip(trajectory, reference):
+                    assert np.max(np.abs(blocked - looped)) <= bound, f"{where} epochs={epochs}"
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_cma_divergence_is_a_typed_error(N):
+    X = unit_power_mixture("uniform", N, 2_000, seed=N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged):
+            cma(X, step_size=50)
+        # one huge sample: its Gram entries are finite, but the float product
+        # mu (y^2 - 1) y is inf, the GEMV carries that inf into g without a
+        # floating-point error, and the epoch-end check catches it
+        with pytest.raises(Diverged, match="not finite"):
+            cma(np.full((N, 1), 1e104), step_size=0.01)

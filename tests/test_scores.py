@@ -22,6 +22,7 @@ from bsskit import (
     whiten,
 )
 from bsskit.adaptive import _apply_scores
+from bsskit.scores import _FORGET_BLOCK, _FORGETTING
 
 
 class ScaledLinearScore(ScoreFunction):
@@ -116,6 +117,18 @@ def test_derivatives_match_central_differences(kind):
 
 
 # ------------------------------------------------- sign-switching tracking
+
+
+@pytest.mark.parametrize("T", [1, 2, _FORGET_BLOCK - 1, _FORGET_BLOCK, _FORGET_BLOCK + 1, 12_295, 400_000])
+def test_blocked_batch_update_matches_the_closed_form(T):
+    y = np.random.default_rng(T).laplace(size=T)
+    s = SignSwitchingScore()
+    s.m2, s.m4 = 1.3, 4.1
+    s.update(y)
+    lam, y2 = _FORGETTING, y * y
+    w = (1.0 - lam) * lam ** np.arange(T - 1, -1, -1, dtype=float)
+    assert s.m2 == pytest.approx(lam**T * 1.3 + float(w @ y2), rel=1e-12)
+    assert s.m4 == pytest.approx(lam**T * 4.1 + float(w @ (y2 * y2)), rel=1e-12)
 
 
 def test_single_sample_updates_equal_one_batch_update():
