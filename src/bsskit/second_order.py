@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateSpectra, InvalidSpec
+from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec, LagTooLarge
 from .moments import _as_data, sample_covariance
 from .signals import SignalMatrix
 
@@ -48,7 +48,9 @@ class Whitener:
 
     def apply(self, U) -> SignalMatrix:
         X = _as_data(U)
-        return SignalMatrix(self.matrix @ (X - self.mean[:, None]))
+        if X.shape[0] != self.mean.size:
+            raise DimensionMismatch(f"whitener expects {self.mean.size} channels, signal has {X.shape[0]}")
+        return SignalMatrix._adopt(self.matrix @ (X - self.mean[:, None]))
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,11 @@ class Separator:
 
     def apply(self, U) -> SignalMatrix:
         X = _as_data(U)
+        if X.shape[0] != self.matrix.shape[-1]:
+            raise DimensionMismatch(f"separator expects {self.matrix.shape[-1]} channels, signal has {X.shape[0]}")
         if self.whitener is not None:
             X = X - self.whitener.mean[:, None]
-        return SignalMatrix(self.matrix @ X)
+        return SignalMatrix._adopt(self.matrix @ X)
 
 
 def whiten(U):
@@ -81,8 +85,13 @@ def whiten(U):
     (Whitener, SignalMatrix)
     """
     X = _as_data(U)
+    T = X.shape[1]
+    if T < 1:
+        raise LagTooLarge("no samples to whiten")
     mean = X.mean(axis=1)
-    R = sample_covariance(X, 0).matrix
+    Xc = X - mean[:, None]
+    R = Xc @ Xc.T / T  # sample_covariance(X, 0), from the one centred copy
+    R = (R + R.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(R)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -92,7 +101,7 @@ def whiten(U):
     rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
     T_w = eigvecs[:, :rank].T / np.sqrt(eigvals[:rank])[:, None]
     w = Whitener(matrix=T_w, detected_rank=rank, eigenvalues=eigvals, mean=mean)
-    return w, SignalMatrix(T_w @ (X - mean[:, None]))
+    return w, SignalMatrix._adopt(T_w @ Xc)
 
 
 def amuse(U, lag: int = 1, gap_tolerance: float = 0.05) -> Separator:

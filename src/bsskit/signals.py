@@ -19,6 +19,7 @@ SOURCE_KINDS = ("bpsk", "uniform", "laplace", "gaussian", "ar1")
 
 _AR_BURN_IN = 1000
 _AR_BLOCK = 64  # samples per block of the AR(1) filter
+_DRAW_SLICE = 8192  # samples per slice of the Laplace transform's temporaries
 
 
 @dataclass(frozen=True)
@@ -42,26 +43,40 @@ class SourceSpec:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
+def _frozen_signal(arr: np.ndarray) -> np.ndarray:
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise DimensionMismatch(f"signal data must be 2-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidSpec("signal data contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SignalMatrix:
     """A bundle of synchronous channels, one row per channel.
 
     ``transient_prefix`` marks how many leading samples are start-up
     transient (nonzero only for convolutive outputs).  The data array is
-    frozen after construction.
+    frozen after construction.  The constructor copies what it is given;
+    signals that the library builds itself (drawn, mixed, whitened or
+    separated) adopt their freshly built array read-only, without a copy.
     """
 
     data: np.ndarray
     transient_prefix: int = 0
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=float, order="C")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionMismatch(f"signal data must be 2-D, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidSpec("signal data contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen_signal(np.array(self.data, dtype=float, order="C")))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, transient_prefix: int = 0) -> SignalMatrix:
+        # For arrays the library has just built and holds no other reference
+        # to: the constructor's checks, without its copy.
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "data", _frozen_signal(np.asarray(data, dtype=float, order="C")))
+        object.__setattr__(signal, "transient_prefix", transient_prefix)
+        return signal
 
     @property
     def channel_count(self) -> int:
@@ -121,47 +136,65 @@ def _channel_rng(spec: SourceSpec, channel: int) -> np.random.Generator:
     return np.random.default_rng([spec.seed, channel])
 
 
-def _draw(spec: SourceSpec, T: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "bpsk":
-        return rng.integers(0, 2, size=T).astype(float) * 2.0 - 1.0
-    if spec.kind == "uniform":
+def _draw(spec: SourceSpec, row: np.ndarray, rng: np.random.Generator) -> None:
+    # Fills ``row`` in place with the same bytes as the one-line draw (named
+    # on a branch where the in-place form differs from it).
+    T = row.size
+    if spec.kind == "bpsk":  # rng.integers(0, 2, T) * 2.0 - 1.0
+        np.multiply(rng.integers(0, 2, size=T), 2.0, out=row)
+        row -= 1.0
+    elif spec.kind == "uniform":  # rng.uniform(-half, half, T)
         half = math.sqrt(3.0)
-        return rng.uniform(-half, half, size=T)
-    if spec.kind == "laplace":
+        rng.random(out=row)
+        row *= half - -half
+        row += -half
+    elif spec.kind == "laplace":
         # Inverse-CDF transform at scale 1/sqrt(2) for unit variance.  The
         # uniform draw is clipped away from 0 so the log stays finite.
         b = 1.0 / math.sqrt(2.0)
-        u = rng.random(T)
-        u = np.clip(u, np.finfo(float).tiny, None)
-        return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(np.clip(2.0 * (1.0 - u), np.finfo(float).tiny, None)))
-    if spec.kind == "gaussian":
-        return rng.standard_normal(T)
-    # ar1: unit-variance stationary AR(1) with Gaussian innovations.
-    rho = spec.ar_coefficient
-    innov_std = math.sqrt(1.0 - rho * rho)
-    e = rng.standard_normal(T + _AR_BURN_IN) * innov_std
-    return _ar1_filter(rho, e)[_AR_BURN_IN:]
+        tiny = np.finfo(float).tiny
+        rng.random(out=row)
+        for start in range(0, T, _DRAW_SLICE):
+            u = np.clip(row[start:start + _DRAW_SLICE], tiny, None)
+            row[start:start + _DRAW_SLICE] = np.where(
+                u < 0.5, b * np.log(2.0 * u), -b * np.log(np.clip(2.0 * (1.0 - u), tiny, None)))
+    elif spec.kind == "gaussian":
+        rng.standard_normal(out=row)
+    else:
+        # ar1: unit-variance stationary AR(1) with Gaussian innovations,
+        # drawn straight into the filter's zero-padded block matrix.
+        rho = spec.ar_coefficient
+        n = T + _AR_BURN_IN
+        E = np.zeros((-(-n // _AR_BLOCK), _AR_BLOCK))
+        e = E.ravel()[:n]
+        rng.standard_normal(out=e)
+        e *= math.sqrt(1.0 - rho * rho)
+        row[:] = _ar1_blocks(rho, E).ravel()[_AR_BURN_IN:n]
 
 
 def _ar1_filter(rho: float, e: np.ndarray) -> np.ndarray:
-    # x[n] = rho x[n-1] + e[n] from a zero state, _AR_BLOCK samples at a time:
-    # one GEMM with the lower-triangular Toeplitz matrix of rho powers gives
-    # every block's zero-state response, and rho^(i+1) x_prev carries the
-    # state of the block before in.
-    blocks = -(-e.size // _AR_BLOCK)
-    E = np.zeros((blocks, _AR_BLOCK))
+    """x[n] = rho x[n-1] + e[n] from a zero state."""
+    E = np.zeros((-(-e.size // _AR_BLOCK), _AR_BLOCK))
     E.ravel()[:e.size] = e
+    return _ar1_blocks(rho, E).ravel()[:e.size]
+
+
+def _ar1_blocks(rho: float, E: np.ndarray) -> np.ndarray:
+    # The AR(1) filter on E's rows read as one zero-padded sequence,
+    # _AR_BLOCK samples at a time: one GEMM with the lower-triangular
+    # Toeplitz matrix of rho powers gives every block's zero-state response,
+    # and rho^(i+1) x_prev carries the state of the block before in.
     powers = rho ** np.arange(_AR_BLOCK + 1)
     lags = np.arange(_AR_BLOCK)
     toeplitz = np.tril(powers[np.abs(lags[:, None] - lags[None, :])])
     X = E @ toeplitz.T
-    states = np.empty(blocks)  # x_prev of each block
+    states = np.empty(E.shape[0])  # x_prev of each block
     prev = 0.0
     for b, end in enumerate(X[:, -1].tolist()):
         states[b] = prev
         prev = end + powers[-1] * prev
     X += states[:, None] * powers[1:]
-    return X.ravel()[:e.size]
+    return X
 
 
 def generate_sources(specs, T: int) -> SignalMatrix:
@@ -178,15 +211,18 @@ def generate_sources(specs, T: int) -> SignalMatrix:
     -------
     SignalMatrix
         ``len(specs)`` x ``T``; channels are mutually independent and have
-        zero mean and unit variance in expectation.
+        zero mean and unit variance in expectation.  Each row is drawn in
+        place into the one returned array.
     """
     if T < 1:
         raise InvalidSpec(f"sample count must be positive, got {T}")
     specs = list(specs)
     if not specs:
         raise InvalidSpec("need at least one source spec")
-    rows = [_draw(spec, T, _channel_rng(spec, i)) for i, spec in enumerate(specs)]
-    return SignalMatrix(np.vstack(rows))
+    out = np.empty((len(specs), T))
+    for i, spec in enumerate(specs):
+        _draw(spec, out[i], _channel_rng(spec, i))
+    return SignalMatrix._adopt(out)
 
 
 def convolve_mimo(taps, A: SignalMatrix) -> SignalMatrix:
@@ -205,7 +241,7 @@ def convolve_mimo(taps, A: SignalMatrix) -> SignalMatrix:
         if k >= T:
             break
         out[:, k:] += Hk @ A.data[:, : T - k]
-    return SignalMatrix(out, transient_prefix=len(taps) - 1)
+    return SignalMatrix._adopt(out, transient_prefix=len(taps) - 1)
 
 
 def mix(model: MixingModel, A: SignalMatrix) -> SignalMatrix:
@@ -218,8 +254,8 @@ def mix(model: MixingModel, A: SignalMatrix) -> SignalMatrix:
     U = H @ A.data
     if model.variant == "noisy" and model.noise_std > 0:
         rng = np.random.default_rng([model.noise_seed, 0x6E])
-        U = U + model.noise_std * rng.standard_normal(U.shape)
-    return SignalMatrix(U)
+        U += model.noise_std * rng.standard_normal(U.shape)
+    return SignalMatrix._adopt(U)
 
 
 def lift_convolutive(taps, L: int) -> np.ndarray:

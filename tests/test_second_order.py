@@ -6,16 +6,20 @@ import pytest
 from bsskit import (
     DegenerateInput,
     DegenerateSpectra,
+    DimensionMismatch,
     MixingModel,
+    Separator,
     SourceSpec,
     amuse,
     fix_signs,
     generate_sources,
     global_system,
     mix,
+    sample_covariance,
     separation_index,
     whiten,
 )
+from bsskit.second_order import _RANK_TOLERANCE
 
 
 def ar_pair(seed, samples=50_000):
@@ -57,6 +61,53 @@ def test_whitener_mean_removal():
     X = rng.standard_normal((2, 3000)) + np.array([[5.0], [-3.0]])
     whitener, Z = whiten(X)
     assert np.max(np.abs(Z.data.mean(axis=1))) < 1e-10
+
+
+def reference_whiten(X):
+    # whiten as it read with the covariance taken through sample_covariance
+    mean = X.mean(axis=1)
+    eigvals, eigvecs = np.linalg.eigh(sample_covariance(X, 0).matrix)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    eigvecs = fix_signs(eigvecs[:, order])
+    rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
+    T_w = eigvecs[:, :rank].T / np.sqrt(eigvals[:rank])[:, None]
+    return T_w, mean, eigvals, T_w @ (X - mean[:, None])
+
+
+@pytest.mark.parametrize("T", [2, 63, 64, 65, 8191, 8193, 20_000])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_whiten_matches_the_sample_covariance_reference(T, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((4, 4)) @ rng.standard_normal((4, T)) + rng.standard_normal((4, 1))
+    w, Z = whiten(X)
+    for got, want in zip((w.matrix, w.mean, w.eigenvalues, Z.data), reference_whiten(X)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_whitener_apply_rejects_a_channel_mismatch():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((3, 500))
+    whitener, _ = whiten(X)
+    with pytest.raises(DimensionMismatch):
+        whitener.apply(rng.standard_normal((4, 500)))
+
+
+def test_separator_apply_rejects_a_channel_mismatch():
+    rng = np.random.default_rng(9)
+    whitener, _ = whiten(rng.standard_normal((3, 500)))
+    for sep in (Separator(matrix=whitener.matrix, whitener=whitener), Separator(matrix=np.eye(3))):
+        with pytest.raises(DimensionMismatch):
+            sep.apply(rng.standard_normal((4, 500)))
+
+
+def test_whitened_and_separated_signals_are_adopted_read_only():
+    X = np.random.default_rng(10).standard_normal((3, 400))
+    whitener, Z = whiten(X)
+    separators = (Separator(matrix=whitener.matrix, whitener=whitener), Separator(matrix=np.eye(3)))
+    for signal in [Z, whitener.apply(X)] + [sep.apply(X) for sep in separators]:
+        assert not signal.data.flags.writeable
+        assert not np.shares_memory(signal.data, X)
 
 
 def test_amuse_separates_ar_sources():

@@ -106,6 +106,71 @@ def test_signal_matrix_rejects_bad_data():
         M.data[0, 0] = 2.0
 
 
+def reference_draw(spec, T, rng):
+    # The one-line draws that generate_sources fills in place.
+    if spec.kind == "bpsk":
+        return rng.integers(0, 2, size=T).astype(float) * 2.0 - 1.0
+    if spec.kind == "uniform":
+        return rng.uniform(-SQRT3, SQRT3, size=T)
+    if spec.kind == "laplace":
+        b = 1.0 / np.sqrt(2.0)
+        tiny = np.finfo(float).tiny
+        u = np.clip(rng.random(T), tiny, None)
+        return np.where(u < 0.5, b * np.log(2.0 * u), -b * np.log(np.clip(2.0 * (1.0 - u), tiny, None)))
+    if spec.kind == "gaussian":
+        return rng.standard_normal(T)
+    rho = spec.ar_coefficient
+    e = rng.standard_normal(T + _AR_BURN_IN) * np.sqrt(1.0 - rho * rho)
+    return _ar1_filter(rho, e)[_AR_BURN_IN:]
+
+
+@pytest.mark.parametrize("T", [1, 63, 64, 65, 8191, 8193, 20_000])
+@pytest.mark.parametrize("seed", [0, 13])
+def test_in_place_draws_match_the_one_line_draws(T, seed):
+    specs = [SourceSpec("bpsk", seed=seed), SourceSpec("uniform", seed=seed), SourceSpec("laplace", seed=seed),
+             SourceSpec("gaussian", seed=seed), SourceSpec("ar1", ar_coefficient=0.9, seed=seed),
+             SourceSpec("ar1", ar_coefficient=-0.5, seed=seed)]
+    A = generate_sources(specs, T)
+    expected = np.vstack([reference_draw(spec, T, np.random.default_rng([seed, i])) for i, spec in enumerate(specs)])
+    assert A.data.tobytes() == expected.tobytes()
+
+
+def test_signal_matrix_copies_its_input():
+    a = np.ones((2, 4))
+    M = SignalMatrix(a)
+    a[0, 0] = 5.0
+    assert M.data[0, 0] == 1.0
+    assert a.flags.writeable
+
+
+def test_library_signals_are_adopted_read_only():
+    A = generate_sources([SourceSpec("uniform", seed=1), SourceSpec("laplace", seed=2)], 300)
+    H = np.array([[1.0, 0.5], [-0.3, 1.0]])
+    outputs = [(A, None)] + [(mix(model, A), A) for model in (
+        MixingModel("static", matrix=H),
+        MixingModel("noisy", matrix=H, noise_std=0.1, noise_seed=2),
+        MixingModel("convolutive", taps=(H, 0.5 * H)),
+    )]
+    for signal, source in outputs:
+        assert not signal.data.flags.writeable
+        with pytest.raises(ValueError):
+            signal.data[0, 0] = 0.0
+        if source is not None:
+            assert not np.shares_memory(signal.data, source.data)
+
+
+def test_adopted_signal_keeps_the_checks():
+    with pytest.raises(DimensionMismatch):
+        SignalMatrix._adopt(np.zeros(8))
+    with pytest.raises(DimensionMismatch):
+        SignalMatrix._adopt(np.zeros((2, 0)))
+    with pytest.raises(InvalidSpec):
+        SignalMatrix._adopt(np.array([[1.0, np.inf]]))
+    a = np.ones((2, 3))
+    M = SignalMatrix._adopt(a, transient_prefix=1)
+    assert M.data is a and not a.flags.writeable and M.transient_prefix == 1
+
+
 def test_static_mix_identity():
     A = generate_sources([SourceSpec("bpsk", seed=0), SourceSpec("bpsk", seed=1)], 32)
     U = mix(MixingModel("static", matrix=np.eye(2)), A)
