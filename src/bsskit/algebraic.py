@@ -468,11 +468,8 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     lam0 = float("nan")
     if init == "fourth_order":
         lam0, V = _cum_unfolding_power(X)
-        tr = np.trace(V)
-        if abs(tr) < 1e-9 * np.linalg.norm(V):
-            W = V / np.linalg.norm(V)
-        else:
-            W = V / tr  # E[u^T W u] = tr(W) = 1 on sphered data
+        # V = S S / |S S| for a symmetric S, so tr V = |S|^2 / |S S| >= 1
+        W = V / np.trace(V)  # E[u^T W u] = tr(W) = 1 on sphered data
     else:
         W = np.zeros((K, K))
 

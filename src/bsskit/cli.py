@@ -21,6 +21,12 @@ record per repetition), ``sweep`` (cross-product over one parameter), and
 Records are emitted one JSON object per line with sorted keys; everything
 except the wall-time field is a pure function of the scenario text.  Exit
 codes: 0 success, 2 config error, 3 all repetitions failed.
+
+Mixings and the ``mixing.*`` keys each requires: none for identity,
+random_orthogonal and random_condition(c); matrix for static; matrix and
+noise_std for noisy; tap.0 .. tap.K for convolutive.  Config errors include
+unknown keys, keys the scenario's algorithm or mixing does not take (checked
+at every sweep point), and source or mixing values SourceSpec or MixingModel reject.
 """
 
 import argparse
@@ -31,13 +37,14 @@ import re
 import sys
 import time
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
 from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
 from .algebraic import (UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init,
                         unimodal_equalizer)
-from .errors import BssError, Diverged, InvalidPath, InvalidSpec
+from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
 from .fixedpoint import VARIANTS, cma, deflate_extract
 from .metrics import DB_CEIL, DB_FLOOR, separation_index
 from .moments import estimate_cum4
@@ -45,15 +52,13 @@ from .scores import SCORE_KINDS, make_score
 from .second_order import amuse, whiten
 from .signals import SOURCE_KINDS, MixingModel, SourceSpec, generate_sources, mix
 
-MIXING_NAMES = ("identity", "random_orthogonal", "static", "noisy", "convolutive")
-
 # numpy refuses an array whose byte count exceeds the largest intp
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 _TOP_KEYS = {"seed": int, "samples": int, "repetitions": int, "algorithm": str, "mixing": str}
 
-_SOURCE_KEY = re.compile(r"^source\.(\d+)\.(kind|ar_coefficient)$")
-_TAP_KEY = re.compile(r"^mixing\.tap\.(\d+)$")
-_COND_MIXING = re.compile(r"^random_condition\(([^)]+)\)$")
+_SOURCE_KEY = re.compile(r"^source\.([1-9]\d*)\.(kind|ar_coefficient)$")
+_TAP_KEY = re.compile(r"^tap\.(?:0|[1-9]\d*)$")
+_COND_MIXING = re.compile(r"^random_condition\([^)]+\)$")
 
 
 class ConfigError(Exception):
@@ -93,20 +98,27 @@ def _coerce(key, raw, kind):
     return value
 
 
-def _key_type(key, algorithm):
-    """Coercion type for a dotted key, or None when the key is unknown."""
+def _key_type(key, scenario):
+    """Coercion type for a dotted key, or None when the scenario's own schemas lack it."""
     if key in _TOP_KEYS:
         return _TOP_KEYS[key]
     m = _SOURCE_KEY.match(key)
     if m:
         return SOURCE_KINDS if m.group(2) == "kind" else float
-    if key == "mixing.matrix" or _TAP_KEY.match(key):
-        return "matrix"
-    if key == "mixing.noise_std":
-        return float
-    if key.startswith("algorithm.") and algorithm in ALGORITHMS:
-        return ALGORITHMS[algorithm][1].get(key[len("algorithm."):])
-    return None
+    owner, _, name = key.partition(".")
+    if owner == "algorithm":
+        entry = ALGORITHMS.get(scenario.get("algorithm"))
+    elif owner == "mixing" and name != "tap.K":  # a schema's tap.K stands for tap.0, tap.1, ...
+        entry = _mixing_entry(scenario.get("mixing", ""))
+        name = "tap.K" if _TAP_KEY.match(name) else name
+    else:
+        return None
+    return entry[1].get(name) if entry else None
+
+
+def _mixing_entry(name):
+    """(builder, schema) of a mixing name, or None when the name is unknown."""
+    return MIXINGS.get(_COND_MIXING.sub("random_condition(c)", name))
 
 
 def parse_scenario(text):
@@ -127,10 +139,9 @@ def parse_scenario(text):
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
         pairs[key] = raw
 
-    algorithm = pairs.get("algorithm", "")
     scenario = {}
     for key, raw in pairs.items():
-        kind = _key_type(key, algorithm)
+        kind = _key_type(key, pairs)
         if kind is None:
             raise ConfigError(f"unknown key {key!r}")
         scenario[key] = _parse_matrix(raw) if kind == "matrix" else _coerce(key, raw, kind)
@@ -138,7 +149,10 @@ def parse_scenario(text):
 
 
 def validate_scenario(scenario):
-    """Check cross-key consistency; returns the ordered source list."""
+    """Check cross-key consistency; returns the SourceSpec list, its seeds left at 0.
+
+    SourceSpec and MixingModel check the source and mixing values: both are built here once.
+    """
     for key, default in (("seed", 0), ("repetitions", 1)):
         scenario.setdefault(key, default)
     for key in ("samples", "algorithm", "mixing"):
@@ -153,33 +167,17 @@ def validate_scenario(scenario):
     if scenario["repetitions"] < 0:
         raise ConfigError("repetitions must be >= 0")
     algorithm = _coerce("algorithm", scenario["algorithm"], tuple(ALGORITHMS))
-    # a sweep over the algorithm itself keeps keys parsed for another one
-    for key in (k for k in scenario if k.startswith("algorithm.")):
-        kind = _key_type(key, algorithm)
-        if kind is None:
-            raise ConfigError(f"{key} is not a parameter of algorithm {algorithm}")
-        _coerce(key, scenario[key], kind)
-
     mixing = scenario["mixing"]
-    if mixing not in MIXING_NAMES and not _COND_MIXING.match(mixing):
-        raise ConfigError(f"mixing must be one of {MIXING_NAMES} or random_condition(c), got {mixing!r}")
-    if _COND_MIXING.match(mixing):
-        cond = _coerce("mixing", _COND_MIXING.match(mixing).group(1), float)
-        if not cond >= 1.0:
-            raise ConfigError(f"random_condition needs c >= 1, got {cond}")
-    if mixing in ("static", "noisy") and "mixing.matrix" not in scenario:
-        raise ConfigError(f"mixing = {mixing} requires mixing.matrix")
-    if mixing == "noisy" and "mixing.noise_std" not in scenario:
-        raise ConfigError("mixing = noisy requires mixing.noise_std")
-    taps = sorted(int(_TAP_KEY.match(k).group(1)) for k in scenario if _TAP_KEY.match(k))
-    if mixing == "convolutive":
-        if taps != list(range(len(taps))) or not taps:
-            raise ConfigError("convolutive mixing requires contiguous mixing.tap.0 .. mixing.tap.K")
-        shapes = {scenario[f"mixing.tap.{k}"].shape for k in taps}
-        if len(shapes) != 1:
-            raise ConfigError("all mixing taps must share one shape")
-    elif taps:
-        raise ConfigError("mixing.tap.* only valid for convolutive mixing")
+    entry = _mixing_entry(mixing)
+    if entry is None:
+        raise ConfigError(f"mixing must be one of {tuple(MIXINGS)}, got {mixing!r}")
+    # a sweep over the algorithm or the mixing keeps keys parsed for another one
+    for key in (k for k in scenario if k.startswith(("algorithm.", "mixing."))):
+        kind = _key_type(key, scenario)
+        if kind is None:
+            owner = key.partition(".")[0]
+            raise ConfigError(f"{key} is not a parameter of {owner} {scenario[owner]}")
+        _coerce(key, scenario[key], kind)
     if mixing == "convolutive" and algorithm != "unimodal":
         raise ConfigError(f"{algorithm} expects an instantaneous mixture; only unimodal equalizes")
 
@@ -187,20 +185,25 @@ def validate_scenario(scenario):
                      if _SOURCE_KEY.match(k) and k.endswith(".kind"))
     if indices != list(range(1, len(indices) + 1)) or not indices:
         raise ConfigError("sources must be source.1.kind .. source.N.kind, contiguous from 1")
-    sources = []
-    for i in indices:
-        kind = scenario[f"source.{i}.kind"]
-        rho = scenario.get(f"source.{i}.ar_coefficient")
-        if kind != "ar1" and rho is not None:
-            raise ConfigError(f"source.{i}.ar_coefficient only valid for ar1")
-        if kind == "ar1" and rho is None:
-            raise ConfigError(f"source.{i}.kind = ar1 requires source.{i}.ar_coefficient")
-        sources.append((kind, rho))
     for key in scenario:
         m = _SOURCE_KEY.match(key)
         if m and int(m.group(1)) > len(indices):
             raise ConfigError(f"{key}: source index beyond source count {len(indices)}")
-    return sources
+    specs = []
+    for i in indices:
+        try:
+            specs.append(SourceSpec(scenario[f"source.{i}.kind"], scenario.get(f"source.{i}.ar_coefficient")))
+        except InvalidSpec as exc:
+            raise ConfigError(f"source.{i}: {exc}") from None
+    try:
+        model = entry[0](scenario, len(specs), 0, 0)
+    except KeyError as exc:
+        raise ConfigError(f"mixing = {mixing} requires {exc.args[0]}") from None
+    except (InvalidSpec, DimensionMismatch) as exc:
+        raise ConfigError(f"mixing = {mixing}: {exc}") from None
+    if model.source_count != len(specs):
+        raise ConfigError(f"mixing = {mixing} takes {model.source_count} sources, the scenario has {len(specs)}")
+    return specs
 
 
 def canonical_text(scenario):
@@ -221,35 +224,7 @@ def load_scenario(path):
     override = os.environ.get("BSSKIT_SEED")
     if override is not None:
         scenario["seed"] = _coerce("BSSKIT_SEED", override, int)
-    sources = validate_scenario(scenario)
-    return scenario, sources
-
-
-def _build_model(scenario, n_sources, mix_seed, noise_seed):
-    mixing = scenario["mixing"]
-    if mixing == "identity":
-        return MixingModel("static", matrix=np.eye(n_sources))
-    if mixing == "random_orthogonal":
-        rng = np.random.default_rng(mix_seed)
-        q, _ = np.linalg.qr(rng.standard_normal((n_sources, n_sources)))
-        return MixingModel("static", matrix=q)
-    m = _COND_MIXING.match(mixing)
-    if m:
-        cond = float(m.group(1))
-        rng = np.random.default_rng(mix_seed)
-        qu, _ = np.linalg.qr(rng.standard_normal((n_sources, n_sources)))
-        qv, _ = np.linalg.qr(rng.standard_normal((n_sources, n_sources)))
-        svals = np.geomspace(1.0, 1.0 / cond, n_sources)
-        return MixingModel("static", matrix=qu @ np.diag(svals) @ qv.T)
-    if mixing == "static":
-        return MixingModel("static", matrix=scenario["mixing.matrix"])
-    if mixing == "noisy":
-        return MixingModel("noisy", matrix=scenario["mixing.matrix"],
-                           noise_std=scenario["mixing.noise_std"], noise_seed=noise_seed)
-    taps = tuple(scenario[k] for k in sorted(
-        (k for k in scenario if _TAP_KEY.match(k)),
-        key=lambda k: int(_TAP_KEY.match(k).group(1))))
-    return MixingModel("convolutive", taps=taps)
+    return scenario, validate_scenario(scenario)
 
 
 def _delay_match_index(y, A, max_delay):
@@ -278,13 +253,11 @@ def _delay_match_index(y, A, max_delay):
 _Mixture = namedtuple("_Mixture", "A model U seed")  # sources, mixing model, sensors, algorithm seed
 
 
-def _mixture(scenario, sources, rep):
+def _mixture(scenario, specs, rep):
     # derived per-repetition seeds: one per source, then mixing, noise and algorithm
-    state = np.random.SeedSequence((scenario["seed"], rep)).generate_state(len(sources) + 3).tolist()
-    specs = [SourceSpec(kind, ar_coefficient=rho, seed=state[i])
-             for i, (kind, rho) in enumerate(sources)]
-    A = generate_sources(specs, scenario["samples"])
-    model = _build_model(scenario, len(sources), state[-3], state[-2])
+    state = np.random.SeedSequence((scenario["seed"], rep)).generate_state(len(specs) + 3).tolist()
+    A = generate_sources([replace(spec, seed=seed) for spec, seed in zip(specs, state)], scenario["samples"])
+    model = _mixing_entry(scenario["mixing"])[0](scenario, len(specs), state[-3], state[-2])
     return _Mixture(A, model, mix(model, A), state[-1])
 
 
@@ -377,15 +350,52 @@ ALGORITHMS = {
 }
 
 
-def _run_once(scenario, sources, rep):
+def _random(scenario, n, mix_seed, noise_seed):
+    # random_orthogonal is Q; random_condition(c) is Q diag(1 .. 1/c) V^T
+    rng = np.random.default_rng(mix_seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    if scenario["mixing"] != "random_orthogonal":
+        # the name matched _COND_MIXING, so c is the text between its parentheses
+        cond = _coerce("mixing", scenario["mixing"][len("random_condition("):-1], float)
+        if not cond >= 1.0:
+            raise ConfigError(f"random_condition needs c >= 1, got {cond}")
+        qv, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q = q @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ qv.T
+    return MixingModel("static", matrix=q)
+
+
+def _convolutive(scenario, n, mix_seed, noise_seed):
+    # tap numbers have no leading zeros, so a gap in them is a missing key
+    count = sum(k.startswith("mixing.tap.") for k in scenario)
+    return MixingModel("convolutive", taps=tuple(scenario[f"mixing.tap.{k}"] for k in range(count)))
+
+
+# name -> (builder, schema).  A builder maps (scenario, source count, mixing
+# seed, noise seed) to the MixingModel, which checks its own values.  A schema
+# maps each mixing.* key to its type as in ALGORITHMS; tap.K stands for the
+# numbered taps tap.0, tap.1, ...
+MIXINGS = {
+    "identity": (lambda scenario, n, *seeds: MixingModel("static", matrix=np.eye(n)), {}),
+    "random_orthogonal": (_random, {}),
+    "random_condition(c)": (_random, {}),
+    "static": (lambda scenario, n, *seeds: MixingModel("static", matrix=scenario["mixing.matrix"]),
+               {"matrix": "matrix"}),
+    "noisy": (lambda scenario, n, mix_seed, noise_seed: MixingModel(
+        "noisy", matrix=scenario["mixing.matrix"], noise_std=scenario["mixing.noise_std"],
+        noise_seed=noise_seed), {"matrix": "matrix", "noise_std": float}),
+    "convolutive": (_convolutive, {"tap.K": "matrix"}),
+}
+
+
+def _run_once(scenario, specs, rep):
     """One repetition: generate, mix, separate, score.  Raises BssError."""
     adapter, _ = ALGORITHMS[scenario["algorithm"]]
     params = {k[len("algorithm."):]: v for k, v in scenario.items() if k.startswith("algorithm.")}
-    return adapter(_mixture(scenario, sources, rep), params)
+    return adapter(_mixture(scenario, specs, rep), params)
 
 
-def run_experiment(scenario, sources, extra=None):
-    """All repetitions of one scenario; returns a list of record dicts.
+def run_experiment(scenario, specs, extra=None):
+    """All repetitions of one scenario, from validate_scenario's specs; returns a list of record dicts.
 
     Per-repetition errors become records with a status naming the error
     class; they never abort the batch.
@@ -407,7 +417,7 @@ def run_experiment(scenario, sources, extra=None):
             record.update(extra)
         start = time.perf_counter()
         try:
-            index, iters, verdict = _run_once(scenario, sources, rep)
+            index, iters, verdict = _run_once(scenario, specs, rep)
             if not np.isfinite(index):
                 raise Diverged(f"separation index is {index}")
             record["index_db"] = float(index)
@@ -467,8 +477,10 @@ def read_signals(path):
 
 
 def _cmd_generate(args):
-    scenario, sources = load_scenario(args.scenario)
-    m = _mixture(scenario, sources, args.rep)
+    if args.rep < 0:
+        raise ConfigError(f"--rep must be >= 0, got {args.rep}")
+    scenario, specs = load_scenario(args.scenario)
+    m = _mixture(scenario, specs, args.rep)
     write_signals(args.out, m.U.data)
     if args.sources_out:
         write_signals(args.sources_out, m.A.data)
@@ -476,13 +488,13 @@ def _cmd_generate(args):
 
 
 def _cmd_run(args):
-    scenario, sources = load_scenario(args.scenario)
-    return _emit(run_experiment(scenario, sources), args.out, args.csv)
+    scenario, specs = load_scenario(args.scenario)
+    return _emit(run_experiment(scenario, specs), args.out, args.csv)
 
 
 def _cmd_sweep(args):
     scenario, _ = load_scenario(args.scenario)
-    kind = _key_type(args.param, scenario["algorithm"])
+    kind = _key_type(args.param, scenario)
     if kind is None or kind == "matrix":
         raise InvalidPath(f"cannot sweep over {args.param!r}")
     values = [_coerce(args.param, raw.strip(), kind) for raw in args.values.split(",")]
@@ -492,8 +504,8 @@ def _cmd_sweep(args):
         point = {**scenario, args.param: value}
         grid.append((value, point, validate_scenario(point)))
     records = []
-    for value, point, sources in grid:
-        records.extend(run_experiment(point, sources,
+    for value, point, specs in grid:
+        records.extend(run_experiment(point, specs,
                                       extra={"parameter": args.param, "value": value}))
     return _emit(records, args.out, args.csv)
 

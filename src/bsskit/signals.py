@@ -125,6 +125,11 @@ class MixingModel:
             object.__setattr__(self, "taps", taps)
 
     @property
+    def source_count(self) -> int:
+        """Number of sources the model takes: N of its M x N matrix or taps."""
+        return (self.taps[0] if self.variant == "convolutive" else self.matrix).shape[1]
+
+    @property
     def order(self) -> int:
         """FIR order (number of taps minus one); 0 for static variants."""
         return len(self.taps) - 1 if self.variant == "convolutive" else 0

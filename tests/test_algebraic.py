@@ -423,6 +423,17 @@ def test_unimodal_zero_mu2_freezes_the_equalizer_vector():
     assert float(np.mean(errs * errs)) < 0.1  # W alone fits the modulus target
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(0, 16))
+def test_cum_unfolding_iterate_has_trace_at_least_one(seed, K, iterations):
+    # V = W W / |W W|_F with W exactly symmetric, so tr V = |W|_F^2 / |W W|_F >= 1
+    # and the fourth-order init can always divide W by its trace
+    rng = np.random.default_rng(seed)
+    X = whiten(rng.uniform(-1.0, 1.0, (K, 400)) ** 3)[1].data
+    _, V = _cum_unfolding_power(X, iterations)
+    assert np.trace(V) >= 1.0 - 1e-12
+
+
 def test_unimodal_settles_on_an_eigenvector():
     _, U = convolutive_scene(1, 10_000)
     result = unimodal_equalizer(U, mu1=0.05, mu2=0.02, L=16, epochs=3)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bsskit
-from bsskit import separation_index
+from bsskit import SourceSpec, separation_index
 from bsskit.cli import (
     ALGORITHMS,
+    MIXINGS,
     ConfigError,
     canonical_text,
     main,
@@ -25,6 +27,7 @@ from bsskit.cli import (
 )
 
 SRC_DIR = os.path.dirname(os.path.dirname(bsskit.__file__))
+README = os.path.join(os.path.dirname(SRC_DIR), "README.md")
 
 JADE_SCENARIO = """\
 source.1.kind = bpsk
@@ -104,7 +107,7 @@ def test_strict_parsing_rejects_malformed_scenarios(tmp_path):
     with pytest.raises(ConfigError):
         parse_scenario("samples = many")
     with pytest.raises(ConfigError):
-        parse_scenario("mixing.matrix = 1 2 ; 3")
+        parse_scenario("mixing = static\nmixing.matrix = 1 2 ; 3")
     with pytest.raises(ConfigError):
         # records are strict JSON, so a parameter cannot carry NaN into them
         parse_scenario("algorithm = cma\nalgorithm.step_size = nan")
@@ -294,7 +297,7 @@ def test_scenario_id_ignores_formatting_but_not_values():
     bumped = parse_scenario(ADAPTIVE_SCENARIO.replace("seed = 5", "seed = 6"))
     validate_scenario(bumped)
     assert scenario_id(base) != scenario_id(bumped)
-    assert a == [("bpsk", None), ("bpsk", None)]
+    assert a == [SourceSpec("bpsk"), SourceSpec("bpsk")]
 
 
 def _strict_json(line):
@@ -319,7 +322,8 @@ _FUZZ_KEYS = ["algorithm", "samples", "seed", "repetitions", "mixing", "source.1
               "source.1.ar_coefficient", "mixing.matrix", "mixing.tap.0", "mixing.noise_std",
               "algorithm.step_size", "algorithm.mode", "algorithm.max_sweeps"]
 _FUZZ_VALUES = ["jade", "adaptive", "1", "-3", "2.5", "1e400", "nan", "1 2 ; 3 4", "1 ; 2 3", ";",
-                "uniform", "relative", "random_condition(nan)", "1_000", "99999999999999999999999"]
+                "uniform", "relative", "random_condition(nan)", "1_000", "99999999999999999999999",
+                "static", "convolutive"]
 _fuzz_line = st.builds(
     lambda key, sep, value: key + sep + value,
     st.one_of(st.sampled_from(_FUZZ_KEYS), st.text(max_size=8)),
@@ -400,3 +404,112 @@ def test_every_registry_key_and_choice_runs_to_an_ok_record(tmp_path, algorithm)
     for name, kind in schema.items():
         if isinstance(kind, tuple):
             assert seen[name] == set(kind), name
+
+
+BPSK_AND_AR1 = """\
+source.1.kind = bpsk
+source.2.kind = ar1
+source.2.ar_coefficient = 0.5
+samples = 2000
+algorithm = jade
+seed = 1
+repetitions = 2
+"""
+ORTHOGONAL = BPSK_AND_AR1 + "mixing = random_orthogonal\n"
+STATIC = BPSK_AND_AR1 + "mixing = static\nmixing.matrix = 1 0.3 ; 0.2 1\n"
+NOISY = BPSK_AND_AR1 + "mixing = noisy\nmixing.matrix = 1 0.3 ; 0.2 1\nmixing.noise_std = 0.1\n"
+FIR_TWO_BPSK = """\
+source.1.kind = bpsk
+source.2.kind = bpsk
+samples = 2000
+algorithm = unimodal
+mixing = convolutive
+mixing.tap.0 = 1 0.2 ; 0.1 1
+repetitions = 2
+"""
+SAMPLES = ["--param", "samples", "--values", "1000,2000"]
+
+
+def _swap(text, old, new):
+    assert old in text
+    return text.replace(old, new)
+
+
+# id: (a scenario that can never run, then the sweep that should stop at it:
+# the scenario it starts from, which may be the same one, and its arguments)
+CANNOT_RUN = {
+    "ar_coefficient_beyond_one": (
+        _swap(ORTHOGONAL, "= 0.5", "= 1.5"),
+        ORTHOGONAL, ["--param", "source.2.ar_coefficient", "--values", "0.5,1.5"]),
+    "negative_noise_std": (
+        _swap(NOISY, "= 0.1", "= -1"), NOISY, ["--param", "mixing.noise_std", "--values", "0.1,-1"]),
+    "matrix_of_three_columns_for_two_sources": (
+        _swap(STATIC, "1 0.3 ; 0.2 1", "1 0 0 ; 0 1 0"), None, SAMPLES),
+    "tap_of_three_columns_for_two_sources": (
+        _swap(FIR_TWO_BPSK, "1 0.2 ; 0.1 1", "1 0 0 ; 0 1 0"), None, SAMPLES),
+    "matrix_under_random_orthogonal": (
+        _swap(STATIC, "= static", "= random_orthogonal"),
+        STATIC, ["--param", "mixing", "--values", "static,random_orthogonal"]),
+    "noise_std_under_random_orthogonal": (
+        ORTHOGONAL + "mixing.noise_std = 0.1\n",
+        NOISY, ["--param", "mixing", "--values", "noisy,random_orthogonal"]),
+    "noise_std_under_static": (
+        _swap(NOISY, "= noisy", "= static"), NOISY, ["--param", "mixing", "--values", "noisy,static"]),
+    "matrix_under_convolutive": (FIR_TWO_BPSK + "mixing.matrix = 1 0 ; 0 1\n", None, SAMPLES),
+    "source_index_with_leading_zero": (_swap(ORTHOGONAL, "source.1.kind", "source.01.kind"), None, SAMPLES),
+    "tap_number_with_leading_zero": (FIR_TWO_BPSK + "mixing.tap.01 = 1 0 ; 0 1\n", None, SAMPLES),
+}
+
+
+@pytest.mark.parametrize("text, sweep_from, sweep", CANNOT_RUN.values(), ids=CANNOT_RUN.keys())
+def test_a_scenario_that_cannot_run_is_a_config_error(tmp_path, text, sweep_from, sweep):
+    # rejected before any repetition runs, not once per repetition as a failed record
+    with pytest.raises(ConfigError):
+        validate_scenario(parse_scenario(text))
+    out, csv = tmp_path / "r.jsonl", tmp_path / "r.csv"
+    assert main(["run", put(tmp_path, text), "--out", str(out), "--csv", str(csv)]) == 2
+    base = put(tmp_path, sweep_from or text, "base.cfg")
+    assert main(["sweep", base, *sweep, "--out", str(out), "--csv", str(csv)]) == 2
+    assert not out.exists() and not csv.exists()
+    if sweep_from:  # every point but the last one is valid
+        for value in sweep[-1].split(",")[:-1]:
+            assert main(["sweep", base, *sweep[:-1], value, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("literal", ["1 2 ; 3", ";", "", "1 x ; 2 3"],
+                         ids=["ragged", "empty_rows", "empty", "non_numeric"])
+@pytest.mark.parametrize("key", ["matrix", "tap.0"])
+def test_a_malformed_matrix_literal_is_a_config_error(key, literal):
+    mixing = "static" if key == "matrix" else "convolutive"
+    with pytest.raises(ConfigError, match="matrix literal"):
+        parse_scenario(f"mixing = {mixing}\nmixing.{key} = {literal}")
+
+
+def test_generate_rejects_a_negative_repetition(tmp_path):
+    out = tmp_path / "u.txt"
+    assert main(["generate", put(tmp_path, ADAPTIVE_SCENARIO), "--out", str(out), "--rep", "-1"]) == 2
+    assert not out.exists()
+
+
+def _readme_list(marker):
+    """{name: text} of the README bullet list in the paragraph after ``marker``."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split(marker, 1)[1].split("\n\n")[1]
+    return dict(re.findall(r"^- `([^`]+)`: (.*?)(?=^- |\Z)", block, re.M | re.S))
+
+
+@pytest.mark.parametrize("marker, table", [
+    ("algorithms and the keys each takes", ALGORITHMS),
+    ("mixings and the keys each takes", MIXINGS),
+], ids=["algorithms", "mixings"])
+def test_readme_lists_the_keys_of_every_table_entry(marker, table):
+    # each bullet reads `name`: `key` (`choice`, ... or a note), `key`, ...
+    listed = _readme_list(marker)
+    assert set(listed) == set(table)
+    for name, text in listed.items():
+        schema = table[name][1]
+        assert sorted(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", text))) == sorted(schema), name
+        notes = dict(re.findall(r"`([^`]+)` \(([^)]*)\)", text))
+        for key, kind in schema.items():
+            if isinstance(kind, tuple):
+                assert set(re.findall(r"`([^`]+)`", notes[key])) == set(kind), (name, key)

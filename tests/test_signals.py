@@ -205,6 +205,17 @@ def test_convolutive_impulse_response():
     assert U.transient_prefix == 1
 
 
+def test_source_count_is_the_column_count_of_the_matrix_or_taps():
+    H = np.ones((3, 2))
+    models = (MixingModel("static", matrix=H), MixingModel("noisy", matrix=H, noise_std=0.1),
+              MixingModel("convolutive", taps=(H, 0.5 * H)))
+    A = generate_sources([SourceSpec("bpsk", seed=k) for k in range(3)], 16)
+    for model in models:
+        assert model.source_count == 2
+        with pytest.raises(DimensionMismatch):
+            mix(model, A)
+
+
 def test_convolutive_identity_and_zero_taps():
     A = generate_sources([SourceSpec("bpsk", seed=2)], 64)
     U = mix(MixingModel("convolutive", taps=(np.eye(1),)), A)
