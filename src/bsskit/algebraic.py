@@ -33,73 +33,73 @@ UNIMODAL_INITS = ("fourth_order", "zero")
 # windows per block of the unimodal equalizer's W recursion
 _UNIMODAL_BLOCK = 64
 
-# theta_k = k pi / 10: the pair mass has period pi/2 in theta, so these are
-# five equispaced samples of one period in phi = 4 theta
-_PAIR_THETAS = np.arange(5) * (math.pi / 10.0)
+
+def _pair_coefficients(t0, t1, t2, t3, t4):
+    # In phi = 4 theta the diagonal mass of a pair with entries (C_iiii, C_iiij,
+    # C_iijj, C_ijjj, C_jjjj) is exactly a0 + Re(c1 e^{i phi} + c2 e^{2i phi});
+    # c1 and c2 as derived symbolically from its quartic multinomial expansion
+    w = complex(t0 - 6.0 * t2 + t4, 4.0 * (t3 - t1))
+    c1 = complex(7.0 * (t0 * t0 + t4 * t4) - 12.0 * t2 * (t0 + t4) - 2.0 * t0 * t4
+                 - 16.0 * (t1 * t1 + t3 * t3) - 36.0 * t2 * t2 - 32.0 * t1 * t3,
+                 4.0 * (7.0 * (t3 * t4 - t0 * t1) + 6.0 * t2 * (t3 - t1) + t1 * t4 - t0 * t3))
+    return c1 / 16.0, w * w / 64.0
 
 
-def _pair_diag_mass(t, theta):
-    # Diagonal mass of an (i, j) pair after a Givens rotation by theta,
-    # evaluated from the five pair entries t = (C_iiii, C_iiij, C_iijj,
-    # C_ijjj, C_jjjj) via the quartic multinomial expansion; entries outside
-    # the pair keep their diagonal values.
-    t0, t1, t2, t3, t4 = t
-    c, s = np.cos(theta), np.sin(theta)
-    di = c**4 * t0 + 4 * c**3 * s * t1 + 6 * c * c * s * s * t2 + 4 * c * s**3 * t3 + s**4 * t4
-    dj = s**4 * t0 - 4 * s**3 * c * t1 + 6 * s * s * c * c * t2 - 4 * s * c**3 * t3 + c**4 * t4
-    return di * di + dj * dj
-
-
-def _cumulant_pair_angle(V, i, j):
-    # In phi = 4 theta the pair mass is a0 + Re(c1 e^{i phi} + c2 e^{2i phi})
-    # exactly, so the 5-point DFT F of one period gives c_m = 2 F_m / 5.  Its
-    # stationary points are the unit-circle roots of the derivative
-    # multiplied by 2 z^2 / i, the quartic 2 c2 z^4 + c1 z^3 - conj(c1) z -
-    # 2 conj(c2); phi = 0 stays a candidate so the gain is never negative.
-    t = (V[i, i, i, i], V[i, i, i, j], V[i, i, j, j], V[i, j, j, j], V[j, j, j, j])
-    _, c1, c2, _, _ = np.fft.fft(_pair_diag_mass(t, _PAIR_THETAS)) * 0.4
-    roots = np.roots([2.0 * c2, c1, 0.0, -np.conj(c1), -2.0 * np.conj(c2)])
+def _cumulant_pair_angle(V, P):
+    # The pair's 2^4 block of the rotated tensor: V contracted with the rows
+    # P on every mode.  The mass peaks at a unit-circle root of its derivative
+    # times 2 z^2 / i, 2 c2 z^4 + c1 z^3 - conj(c1) z - 2 conj(c2), or at phi =
+    # -arg c1 if c2 = 0; phi = 0 stays a candidate so the gain is never < 0.
+    N = P.shape[1]
+    B = (P @ V.reshape(N, -1)).reshape(-1, N) @ P.T
+    B = P @ (P @ B.reshape(2, N, 2 * N)).reshape(4, N, 2)
+    c1, c2 = _pair_coefficients(*B.ravel()[[0, 1, 3, 7, 15]].tolist())
+    if c2 == 0.0:
+        roots = [c1.conjugate()]
+    else:
+        companion = np.eye(4, k=-1, dtype=complex)
+        companion[0] = (-c1 / (2.0 * c2), 0.0, c1.conjugate() / (2.0 * c2), c2.conjugate() / c2)
+        roots = np.linalg.eigvals(companion)
     z = np.concatenate(([1.0], np.exp(1j * np.angle(roots))))
     gains = (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
     best = int(np.argmax(gains))
     return float(np.angle(z[best])) / 4.0, float(gains[best])
 
 
-def _joint_pair_angle(A, i, j):
-    # The summed squared diagonals, as a function of the rotated diagonal
-    # difference h cos 2 theta + o sin 2 theta, peak at 4 theta = atan2(2 h.o,
-    # h.h - o.o).  The gain reported is |sin theta|: this solver's tolerance
-    # bounds the size of a rotation, not the objective it adds.
-    h = A[:, i, i] - A[:, j, j]
-    o = A[:, i, j] + A[:, j, i]
+def _joint_pair_angle(A, P):
+    # The summed squared diagonals of the blocks P A_k P^T, as a function of
+    # the rotated diagonal difference h cos 2 theta + o sin 2 theta, peak at
+    # 4 theta = atan2(2 h.o, h.h - o.o).  The gain reported is |sin theta|:
+    # this solver's tolerance bounds the size of a rotation, not its gain.
+    B = P @ A @ P.T
+    h = B[:, 0, 0] - B[:, 1, 1]
+    o = B[:, 0, 1] + B[:, 1, 0]
     theta = math.atan2(float(2.0 * (h @ o)), float(h @ h - o @ o)) / 4.0
     return theta, abs(math.sin(theta))
 
 
-def _pair_sweep(A, axes, pair_angle, sweep_tolerance, max_sweeps):
-    # Jacobi sweeps over index pairs of the working array A, rotated in
-    # place on every axis in ``axes``.  pair_angle(A, i, j) returns the
+def _pair_sweep(A, pair_angle, sweep_tolerance, max_sweeps):
+    # Jacobi sweeps over index pairs that rotate only Q, rows form: row i of
+    # Q is the i-th new coordinate.  A (an N^4 tensor or a K x N x N stack)
+    # stays as given; pair_angle(A, P) reads the pair's entries of the
+    # rotated array through its two rows P = Q[[i, j]] and returns the
     # pair's Givens angle and its gain, the progress measure sweep_tolerance
     # bounds.  A pair is rotated whenever its gain is positive; the sweeps
     # stop once no pair of a sweep gained sweep_tolerance or more.
-    # Returns the accumulated rotation in rows form: row i of Q is the i-th
-    # new coordinate.
-    N = A.shape[axes[0]]
+    N = A.shape[-1]
     Q = np.eye(N)
-    planes = [Q] + [np.moveaxis(A, axis, 0) for axis in axes]  # views
     for _ in range(max_sweeps):
         best_gain = 0.0
         for i in range(N):
             for j in range(i + 1, N):
-                theta, gain = pair_angle(A, i, j)
+                P = Q[[i, j]]
+                theta, gain = pair_angle(A, P)
                 if gain <= 0.0:
                     continue
                 best_gain = max(best_gain, gain)
                 c, s = math.cos(theta), math.sin(theta)
-                for P in planes:
-                    Pi, Pj = P[i].copy(), P[j].copy()
-                    P[i] = c * Pi + s * Pj
-                    P[j] = -s * Pi + c * Pj
+                Q[i] = c * P[0] + s * P[1]
+                Q[j] = -s * P[0] + c * P[1]
         if best_gain < sweep_tolerance:
             return Q
     raise NotConverged(f"pair sweeps did not settle in {max_sweeps} sweeps")
@@ -110,25 +110,28 @@ def jacobi_diagonalize(C: Cumulant4Tensor, sweep_tolerance: float = 1e-10, max_s
 
     For every pair the rotation angle in (-pi/4, pi/4] maximizing the pair's
     diagonal mass is found in closed form (Comon 1994): the mass is a
-    trigonometric polynomial of degree two in 4 theta, and its maximizer is
-    a root of a quartic.  A rotation is applied only when it strictly
-    increases the mass.  Sweeps stop when the best available single-rotation
-    gain falls below ``sweep_tolerance``; NotConverged is raised when
-    ``max_sweeps`` sweeps pass without that.
+    trigonometric polynomial of degree two in 4 theta, with coefficients
+    polynomial in the pair's five entries, and its maximizer is a root of a
+    quartic.  Only Q is rotated; each pair's entries are read through two
+    rows of Q from C as given.  A rotation is applied only when it strictly
+    increases the mass.  Sweeps stop when the best single-rotation gain falls
+    below ``sweep_tolerance``; NotConverged is raised when ``max_sweeps``
+    sweeps pass without that.
 
     Returns the orthogonal demixing rotation Q: tucker_transform(C, Q) is
     the (locally) most diagonal representative.
     """
     if C.dim < 2:
         raise InvalidSpec("need at least a 2 x 2 x 2 x 2 tensor")
-    return _pair_sweep(np.array(C.values), (0, 1, 2, 3), _cumulant_pair_angle, sweep_tolerance, max_sweeps)
+    return _pair_sweep(C.values, _cumulant_pair_angle, sweep_tolerance, max_sweeps)
 
 
 def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
     """Jointly diagonalize a set of symmetric matrices by Jacobi sweeps.
 
     Each pair rotation maximizes the summed squared diagonals of the whole
-    set in closed form, so the off-diagonal objective never increases.
+    set in closed form, so the off-diagonal objective never increases; only
+    Q is rotated, and each pair's 2 x 2 blocks are read through two rows of Q.
     Sweeps stop when no rotation of a sweep has |sin theta| of
     ``sweep_tolerance`` or more; NotConverged is raised when ``max_sweeps``
     sweeps pass without that.  Returns orthogonal Q whose columns are the joint
@@ -138,7 +141,7 @@ def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int 
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
         raise DimensionMismatch("need a set of square matrices of one size")
     A = (A + A.transpose(0, 2, 1)) / 2.0
-    Q = _pair_sweep(A, (1, 2), _joint_pair_angle, sweep_tolerance, max_sweeps)
+    Q = _pair_sweep(A, _joint_pair_angle, sweep_tolerance, max_sweeps)
     return fix_signs(Q.T)
 
 

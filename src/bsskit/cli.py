@@ -203,6 +203,10 @@ def validate_scenario(scenario):
         raise ConfigError(f"mixing = {mixing}: {exc}") from None
     if model.source_count != len(specs):
         raise ConfigError(f"mixing = {mixing} takes {model.source_count} sources, the scenario has {len(specs)}")
+    # nonlinear_pca whitens first, which drops the null directions of a noise-free tall mixing
+    mode = scenario.get("algorithm.mode", AdaptConfig.mode)
+    if algorithm == "adaptive" and mode != "nonlinear_pca" and model.matrix.shape[0] != len(specs):
+        raise ConfigError(f"adaptive mode {mode} needs one sensor per source, mixing matrix {model.matrix.shape}")
     return specs
 
 

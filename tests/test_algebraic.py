@@ -32,11 +32,12 @@ from bsskit import (
     rank1_init,
     separation_index,
     tucker_transform,
+    unfold,
     unimodal_equalizer,
     whiten,
     window_stack,
 )
-from bsskit.algebraic import _UNIMODAL_BLOCK, UNIMODAL_INITS, _cum_unfolding_power
+from bsskit.algebraic import _UNIMODAL_BLOCK, UNIMODAL_INITS, _cum_unfolding_power, _pair_coefficients
 
 BPSK_TRIPLE = None  # built lazily below
 
@@ -101,11 +102,22 @@ def test_jacobi_never_loses_diagonal_mass():
         assert after >= before - 1e-12
 
 
-def test_jacobi_leaves_no_pair_gain_on_a_fine_grid():
+# the grid of the reference pair mass: (-pi/4, pi/4) at 4 097 interior points
+_FINE_THETA = -math.pi / 4 + (math.pi / 2) * np.arange(1, 4098) / 4097
+
+
+def fine_grid_pair_mass(V, i, j):
     # reference pair mass, evaluated independently of the solver: the 2^4
     # pair block contracted with the rotated coordinate vectors on a grid
-    theta = -math.pi / 4 + (math.pi / 2) * np.arange(1, 4098) / 4097
-    ci, si = np.cos(theta), np.sin(theta)
+    ci, si = np.cos(_FINE_THETA), np.sin(_FINE_THETA)
+    block = V[np.ix_(*[[i, j]] * 4)]
+    mass = 0.0
+    for r in (np.array([ci, si]), np.array([-si, ci])):
+        mass = mass + np.einsum("abcd,ag,bg,cg,dg->g", block, r, r, r, r) ** 2
+    return mass
+
+
+def test_jacobi_leaves_no_pair_gain_on_a_fine_grid():
     for n, seed in ((3, 60), (4, 61), (4, 62)):
         A = generate_sources([SourceSpec("uniform", seed=seed * 10 + k) for k in range(n)], 5000)
         _, Z = whiten(mix(MixingModel("static", matrix=random_orthogonal(n, seed)), A))
@@ -113,11 +125,33 @@ def test_jacobi_leaves_no_pair_gain_on_a_fine_grid():
         V = tucker_transform(C, jacobi_diagonalize(C)).values
         for i in range(n):
             for j in range(i + 1, n):
-                block = V[np.ix_(*[[i, j]] * 4)]
-                mass = 0.0
-                for r in (np.array([ci, si]), np.array([-si, ci])):
-                    mass = mass + np.einsum("abcd,ag,bg,cg,dg->g", block, r, r, r, r) ** 2
-                assert mass.max() - (V[i, i, i, i] ** 2 + V[j, j, j, j] ** 2) <= 1e-10
+                assert fine_grid_pair_mass(V, i, j).max() - (V[i, i, i, i] ** 2 + V[j, j, j, j] ** 2) <= 1e-10
+
+
+def pair_tensor(t):
+    """The 2 x 2 x 2 x 2 tensor whose entry (a, b, c, d) is t[a + b + c + d]."""
+    return Cumulant4Tensor(values=np.array(t)[np.indices((2,) * 4).sum(axis=0)])
+
+
+def test_jacobi_leaves_a_zero_tensor_alone():
+    # c1 = c2 = 0 for every pair: no gain anywhere, and no sweep cap to hit
+    for n in (2, 3, 5):
+        assert np.array_equal(jacobi_diagonalize(Cumulant4Tensor(np.zeros((n,) * 4)), max_sweeps=1), np.eye(n))
+
+
+def test_jacobi_reaches_the_pair_maximum_when_the_second_harmonic_vanishes():
+    # t0 - 6 t2 + t4 = 0 and t1 = t3 give c2 = 0 exactly, so the stationary
+    # points come from the explicit branch, not from the companion quartic
+    t = (1.0, 0.5, 1.0, 0.5, 5.0)
+    c1, c2 = _pair_coefficients(*t)
+    assert c2 == 0.0 and c1 != 0.0
+    C = pair_tensor(t)
+    Q = jacobi_diagonalize(C)
+    V = tucker_transform(C, Q).values
+    best = fine_grid_pair_mass(C.values, 0, 1).max()
+    assert best > C.values[0, 0, 0, 0] ** 2 + C.values[1, 1, 1, 1] ** 2 + 1.0
+    assert V[0, 0, 0, 0] ** 2 + V[1, 1, 1, 1] ** 2 >= best - 1e-10
+    assert fine_grid_pair_mass(V, 0, 1).max() - (V[0, 0, 0, 0] ** 2 + V[1, 1, 1, 1] ** 2) <= 1e-10
 
 
 @st.composite
@@ -184,6 +218,120 @@ def test_joint_diagonalize_recovers_shared_eigenbasis():
     assert total < 1e-10
     assert total <= sum(off2(M) for M in mats)
     assert signed_permutation_gap(Q.T @ Q0) < 1e-6
+
+
+# ------------------------------ pair sweeps against the rotated-array reference
+# The sweep that the Q-only sweep replaced: it rotates a working copy of the
+# array on every axis per pair, and the Jacobi angle takes c1, c2 from the
+# 5-point DFT of the pair mass sampled over one period in phi = 4 theta.
+
+_REFERENCE_THETAS = np.arange(5) * (math.pi / 10.0)
+
+
+def reference_pair_diag_mass(t, theta):
+    t0, t1, t2, t3, t4 = t
+    c, s = np.cos(theta), np.sin(theta)
+    di = c**4 * t0 + 4 * c**3 * s * t1 + 6 * c * c * s * s * t2 + 4 * c * s**3 * t3 + s**4 * t4
+    dj = s**4 * t0 - 4 * s**3 * c * t1 + 6 * s * s * c * c * t2 - 4 * s * c**3 * t3 + c**4 * t4
+    return di * di + dj * dj
+
+
+def reference_pair_coefficients(t):
+    _, c1, c2, _, _ = np.fft.fft(reference_pair_diag_mass(t, _REFERENCE_THETAS)) * 0.4
+    return c1, c2
+
+
+def reference_cumulant_pair_angle(V, i, j):
+    c1, c2 = reference_pair_coefficients(
+        (V[i, i, i, i], V[i, i, i, j], V[i, i, j, j], V[i, j, j, j], V[j, j, j, j]))
+    roots = np.roots([2.0 * c2, c1, 0.0, -np.conj(c1), -2.0 * np.conj(c2)])
+    z = np.concatenate(([1.0], np.exp(1j * np.angle(roots))))
+    gains = (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
+    best = int(np.argmax(gains))
+    return float(np.angle(z[best])) / 4.0, float(gains[best])
+
+
+def reference_joint_pair_angle(A, i, j):
+    h = A[:, i, i] - A[:, j, j]
+    o = A[:, i, j] + A[:, j, i]
+    theta = math.atan2(float(2.0 * (h @ o)), float(h @ h - o @ o)) / 4.0
+    return theta, abs(math.sin(theta))
+
+
+def reference_pair_sweep(A, axes, pair_angle, sweep_tolerance, max_sweeps):
+    N = A.shape[axes[0]]
+    Q = np.eye(N)
+    planes = [Q] + [np.moveaxis(A, axis, 0) for axis in axes]
+    for _ in range(max_sweeps):
+        best_gain = 0.0
+        for i in range(N):
+            for j in range(i + 1, N):
+                theta, gain = pair_angle(A, i, j)
+                if gain <= 0.0:
+                    continue
+                best_gain = max(best_gain, gain)
+                c, s = math.cos(theta), math.sin(theta)
+                for P in planes:
+                    Pi, Pj = P[i].copy(), P[j].copy()
+                    P[i] = c * Pi + s * Pj
+                    P[j] = -s * Pi + c * Pj
+        if best_gain < sweep_tolerance:
+            return Q
+    raise NotConverged(f"pair sweeps did not settle in {max_sweeps} sweeps")
+
+
+def reference_jacobi(C):
+    return reference_pair_sweep(np.array(C.values), (0, 1, 2, 3), reference_cumulant_pair_angle, 1e-10, 50)
+
+
+def reference_joint(mats):
+    A = np.array(mats)
+    A = (A + A.transpose(0, 2, 1)) / 2.0
+    return fix_signs(reference_pair_sweep(A, (1, 2), reference_joint_pair_angle, 1e-12, 100).T)
+
+
+def whitened_mixture_cum4(kind, n, seed):
+    A = generate_sources([SourceSpec(kind, seed=seed * 10 + k) for k in range(n)], 4000)
+    H = np.random.default_rng(seed).standard_normal((n, n))
+    return estimate_cum4(whiten(mix(MixingModel("static", matrix=H), A))[1])
+
+
+def eigenmatrices(C):
+    # the eigenmatrix set jade_rotation builds
+    B = unfold(C, "2x2")
+    eigvals, eigvecs = np.linalg.eigh((B + B.T) / 2.0)
+    order = np.argsort(np.abs(eigvals))[::-1][:C.dim]
+    mats = [lam * v.reshape(C.dim, C.dim) for lam, v in zip(eigvals[order], eigvecs.T[order])]
+    return [(M + M.T) / 2.0 for M in mats]
+
+
+def test_pair_coefficients_match_the_dft_of_the_sampled_mass():
+    rng = np.random.default_rng(70)
+    for t in rng.standard_normal((500, 5)) * rng.uniform(0.01, 100.0, size=(500, 1)):
+        c1, c2 = _pair_coefficients(*t)
+        r1, r2 = reference_pair_coefficients(t)
+        scale = abs(r1) + abs(r2)
+        assert abs(c1 - r1) <= 1e-12 * scale
+        assert abs(c2 - r2) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_jacobi_matches_the_rotated_array_reference_on_rotated_diagonals(n):
+    rng = np.random.default_rng(80 + n)
+    for seed in range(3):
+        c4s = rng.uniform(0.3, 2.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+        C = tucker_transform(diag_tensor(c4s), random_orthogonal(n, 180 + 10 * n + seed))
+        assert np.max(np.abs(jacobi_diagonalize(C) - reference_jacobi(C))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["uniform", "bpsk"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pair_sweeps_match_the_rotated_array_reference_on_sample_cumulants(kind, n):
+    for seed in (90 + n, 190 + n):
+        C = whitened_mixture_cum4(kind, n, seed)
+        assert np.max(np.abs(jacobi_diagonalize(C) - reference_jacobi(C))) <= 1e-12
+        mats = eigenmatrices(C)
+        assert np.max(np.abs(joint_diagonalize(mats) - reference_joint(mats))) <= 1e-12
 
 
 # ------------------------------------------------------------------ jade

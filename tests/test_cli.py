@@ -428,6 +428,18 @@ mixing.tap.0 = 1 0.2 ; 0.1 1
 repetitions = 2
 """
 SAMPLES = ["--param", "samples", "--values", "1000,2000"]
+# two sources seen by three sensors; nonlinear_pca whitens them down to two
+TALL_NONLINEAR_PCA = """\
+source.1.kind = uniform
+source.2.kind = uniform
+samples = 2000
+mixing = static
+mixing.matrix = 1 0.3 ; 0.2 1 ; 0.5 -0.4
+algorithm = adaptive
+algorithm.mode = nonlinear_pca
+seed = 1
+repetitions = 2
+"""
 
 
 def _swap(text, old, new):
@@ -458,6 +470,17 @@ CANNOT_RUN = {
     "matrix_under_convolutive": (FIR_TWO_BPSK + "mixing.matrix = 1 0 ; 0 1\n", None, SAMPLES),
     "source_index_with_leading_zero": (_swap(ORTHOGONAL, "source.1.kind", "source.01.kind"), None, SAMPLES),
     "tap_number_with_leading_zero": (FIR_TWO_BPSK + "mixing.tap.01 = 1 0 ; 0 1\n", None, SAMPLES),
+    "adaptive_plain_on_a_tall_mixing": (
+        _swap(TALL_NONLINEAR_PCA, "= nonlinear_pca", "= plain"),
+        TALL_NONLINEAR_PCA, ["--param", "algorithm.mode", "--values", "nonlinear_pca,plain"]),
+    "adaptive_default_relative_on_a_tall_mixing": (
+        _swap(TALL_NONLINEAR_PCA, "algorithm.mode = nonlinear_pca\n", ""), None, SAMPLES),
+    "adaptive_anti_hebbian_on_a_tall_mixing": (
+        _swap(TALL_NONLINEAR_PCA, "= nonlinear_pca", "= anti_hebbian"), None, SAMPLES),
+    "adaptive_relative_on_a_wide_mixing": (
+        _swap(_swap(TALL_NONLINEAR_PCA, "= nonlinear_pca", "= relative"),
+              "1 0.3 ; 0.2 1 ; 0.5 -0.4", "1 0.3 0.1 ; 0.2 1 0.4") + "source.3.kind = uniform\n",
+        None, SAMPLES),
 }
 
 
@@ -474,6 +497,13 @@ def test_a_scenario_that_cannot_run_is_a_config_error(tmp_path, text, sweep_from
     if sweep_from:  # every point but the last one is valid
         for value in sweep[-1].split(",")[:-1]:
             assert main(["sweep", base, *sweep[:-1], value, "--out", str(out)]) == 0
+
+
+def test_adaptive_nonlinear_pca_runs_a_tall_mixing(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert main(["run", put(tmp_path, TALL_NONLINEAR_PCA), "--out", str(out)]) == 0
+    recs = [_strict_json(line) for line in out.read_text().splitlines()]
+    assert [rec["status"] for rec in recs] == ["ok", "ok"]
 
 
 @pytest.mark.parametrize("literal", ["1 2 ; 3", ";", "", "1 x ; 2 3"],
