@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
 from .moments import _as_data
-from .scores import make_score
+from .scores import _apply_scores, make_score
 from .second_order import Separator, whiten
 
 _DET_FLOOR = 1e-12
@@ -75,21 +75,6 @@ class StabilityReport:
     violations: tuple = field(default=())
 
 
-def _apply_scores(scores, Y, method="f"):
-    """Channel i's score on row i of Y (N-vector or N x T), one call per batch_key."""
-    Y = np.asarray(Y, dtype=float)
-    keys = [s.batch_key() for s in scores]
-    if len(keys) != Y.shape[0]:
-        raise DimensionMismatch(f"{len(keys)} scores for {Y.shape[0]} channels")
-    if len(set(keys)) == 1:
-        return getattr(scores[0], method)(Y)
-    out = np.empty_like(Y)
-    for key in dict.fromkeys(keys):
-        rows = [i for i, k in enumerate(keys) if k == key]
-        out[rows] = getattr(scores[rows[0]], method)(Y[rows])
-    return out
-
-
 def universal_criterion(G, U, scores) -> float:
     """J(G) = ln|det G| + (1/T) sum_t sum_i log phi_i(y_i(t)), y = G u."""
     G = np.asarray(G, dtype=float)
@@ -132,15 +117,15 @@ def _polar(G):
 def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):
     """One stochastic update of G from a single sample u.
 
-    plain:        G + mu (G^-T - f(y) u^T)
-    relative:     G + mu (I - f(y) y^T) G
-    anti_hebbian: G + mu (I - f(y) g(y)^T) G
+    plain:         G + mu (G^-T - f(y) u^T)
+    relative:      G + mu (I - f(y) y^T) G
+    anti_hebbian:  G + mu (I - f(y) g(y)^T) G
+    nonlinear_pca: polar factor of G + mu f(y) [u - G^T f(y)]^T, for sphered u
     """
-    if cfg.mode == "nonlinear_pca":
-        return nonlinear_pca_update(G, u, scores, cfg.step_size)
     G = np.asarray(G, dtype=float)
     u = np.asarray(u, dtype=float).reshape(-1, 1)
-    return G + cfg.step_size * _direction(G, u, G @ u, scores, cfg.mode, g_scores)
+    G = G + cfg.step_size * _direction(G, u, G @ u, scores, cfg.mode, g_scores)
+    return _polar(G) if cfg.mode == "nonlinear_pca" else G
 
 
 def nonlinear_pca_update(G, u, scores, step_size: float):
@@ -150,9 +135,7 @@ def nonlinear_pca_update(G, u, scores, step_size: float):
     orthogonal manifold through its polar factor, keeping rows orthonormal
     at every step.
     """
-    G = np.asarray(G, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1, 1)
-    return _polar(G + step_size * _direction(G, u, G @ u, scores, "nonlinear_pca"))
+    return adaptive_update(G, u, scores, AdaptConfig(step_size=step_size, mode="nonlinear_pca"))
 
 
 def batch_update_direction(G, U, scores, mode: str, g_scores=None):
@@ -170,7 +153,9 @@ def run_separation(U, scores, cfg: AdaptConfig):
     Returns (Separator, trajectory) where trajectory holds the criterion
     value after each epoch when every score has a closed-form log-density
     (otherwise it stays empty).  nonlinear_pca mode sphers the data first
-    and folds the whitener into the returned separator.
+    and folds the whitener into the returned separator.  Raises Diverged at
+    the first sample update that overflows, or when G ends an epoch
+    non-finite or above _DIVERGENCE_NORM in norm.
     """
     X = _as_data(U)
     whitener = None
@@ -193,15 +178,19 @@ def run_separation(U, scores, cfg: AdaptConfig):
     tracking = [(i, s) for i, s in enumerate(scores) if s.keeps_state]
     record = all(s.has_log_phi for s in scores)
     trajectory = []
-    for _ in range(cfg.max_iterations):
+    for epoch in range(cfg.max_iterations):
         G_start = G
-        for u in X.T[:, :, None]:  # each sample as an N x 1 block
-            y = G @ u
-            for i, s in tracking:
-                s.update(y[i])
-            G = G + cfg.step_size * _direction(G, u, y, scores, cfg.mode, g_scores)
-            if cfg.mode == "nonlinear_pca":
-                G = _polar(G)
+        try:  # a diverging run stops at its first overflow
+            with np.errstate(over="raise", invalid="raise"):
+                for u in X.T[:, :, None]:  # each sample as an N x 1 block
+                    y = G @ u
+                    for i, s in tracking:
+                        s.update(y[i])
+                    G = G + cfg.step_size * _direction(G, u, y, scores, cfg.mode, g_scores)
+                    if cfg.mode == "nonlinear_pca":
+                        G = _polar(G)
+        except FloatingPointError as exc:
+            raise Diverged(f"G diverged in epoch {epoch}: {exc}") from exc
         if not np.all(np.isfinite(G)) or np.linalg.norm(G) > _DIVERGENCE_NORM:
             raise Diverged(f"G norm {np.linalg.norm(G):.3e} after an epoch")
         if record:

@@ -127,7 +127,7 @@ def jacobi_diagonalize(C: Cumulant4Tensor, sweep_tolerance: float = 1e-10, max_s
 
 
 def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Jointly diagonalize a set of symmetric matrices by Jacobi sweeps.
+    """Jointly diagonalize the symmetric parts of a set of matrices by Jacobi sweeps.
 
     Each pair rotation maximizes the summed squared diagonals of the whole
     set in closed form, so the off-diagonal objective never increases; only
@@ -146,9 +146,10 @@ def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int 
 
 
 def _unfolding_eigh(C: Cumulant4Tensor):
-    """Eigenpairs of the symmetrized 2x2 unfolding, largest magnitude first."""
-    B = unfold(C, "2x2")
-    eigvals, eigvecs = np.linalg.eigh((B + B.T) / 2.0)
+    """Eigenpairs of the 2x2 unfolding, largest magnitude first.  Cumulant4Tensor
+    makes it exactly symmetric, so eigh reads the tensor's own values."""
+    N = C.dim
+    eigvals, eigvecs = np.linalg.eigh(C.values.reshape(N * N, N * N))
     order = np.argsort(np.abs(eigvals))[::-1]
     return eigvals[order], eigvecs[:, order]
 
@@ -157,13 +158,12 @@ def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     """Joint diagonalizer of the N most significant eigenmatrices of C.
 
     The 2x2 unfolding is eigendecomposed; the N eigenvectors of largest
-    magnitude eigenvalue are reshaped to (symmetric) eigenmatrices, weighted
-    by their eigenvalues, and jointly diagonalized.
+    magnitude eigenvalue are reshaped to eigenmatrices, weighted by their
+    eigenvalues, and jointly diagonalized, which takes their symmetric parts.
     """
     N = C.dim
     eigvals, eigvecs = _unfolding_eigh(C)
-    mats = [lam * v.reshape(N, N) for lam, v in zip(eigvals[:N], eigvecs.T[:N])]
-    return joint_diagonalize([(M + M.T) / 2.0 for M in mats])
+    return joint_diagonalize([lam * v.reshape(N, N) for lam, v in zip(eigvals[:N], eigvecs.T[:N])])
 
 
 def jade(U, whitener: Whitener | None = None) -> Separator:
@@ -284,6 +284,7 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
             raise DimensionMismatch(f"init factor {init.factor.shape} does not fit (N={N}, r={r})")
     factors = [base.copy() for _ in range(4)]
     V = C.values
+    unfolded = V.reshape(N, N**3)  # every mode's unfolding, as V is exactly symmetric
     norm_c = np.linalg.norm(V)
     errors = []
     converged = False
@@ -295,8 +296,6 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
                 gram = gram * (A.T @ A)
             if np.linalg.cond(gram) > 1e12:
                 raise SingularLS("factor Gram product is numerically singular")
-            axes = [mode] + [m for m in range(4) if m != mode]
-            unfolded = np.transpose(V, axes).reshape(N, N**3)
             Z = _khatri_rao(others)
             factors[mode] = unfolded @ Z @ np.linalg.inv(gram)
         recon = np.einsum("ir,jr,kr,lr->ijkl", *factors)
@@ -321,6 +320,15 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
                           error_trajectory=tuple(errors))
 
 
+def _dominant_eigenpair(W):
+    """(S, value, vector): the symmetric part S of W and its eigenpair of largest
+    |eigenvalue|, the first on a tie, the vector sign-fixed."""
+    S = (W + W.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(S)
+    k = int(np.argmax(np.abs(eigvals)))
+    return S, float(eigvals[k]), fix_signs(eigvecs[:, k])
+
+
 @dataclass(frozen=True)
 class Rank1Init:
     """Two-stage rank-one initialization of a kurtosis search.
@@ -340,8 +348,8 @@ class Rank1Init:
 def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
     """Initialize a one-unit search from the cumulant unfolding.
 
-    Takes the dominant-magnitude eigenvector of the symmetrized 2x2
-    unfolding, reshapes it into the symmetric W, and reads the initial
+    Takes the dominant-magnitude eigenvector of the 2x2 unfolding,
+    reshapes and symmetrizes it into W, and reads the initial
     separator off W's dominant eigenvector.  The dominant eigenvalue must be
     isolated: a tie (within 1e-8 in magnitude) leaves the eigenvector, and
     hence the initialization, undetermined.
@@ -353,15 +361,8 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
             f"two leading unfolding eigenvalues have magnitudes "
             f"{abs(eigvals[0]):.6e} and {abs(eigvals[1]):.6e}"
         )
-    lam = float(eigvals[0])
-    w = fix_signs(eigvecs[:, 0])
-    W = w.reshape(N, N)
-    W = (W + W.T) / 2.0
-    wvals, wvecs = np.linalg.eigh(W)
-    widx = int(np.argmax(np.abs(wvals)))
-    varsigma = float(wvals[widx])
-    g0 = fix_signs(wvecs[:, widx])
-    return Rank1Init(g0=g0, eigenvalue=lam, varsigma=varsigma, matrix=W)
+    W, varsigma, g0 = _dominant_eigenpair(fix_signs(eigvecs[:, 0]).reshape(N, N))
+    return Rank1Init(g0=g0, eigenvalue=float(eigvals[0]), varsigma=varsigma, matrix=W)
 
 
 def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
@@ -611,28 +612,22 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     w0 = right_t.T @ (inv_s * (left.T @ qt1))
     rowspace = right_t[:rank].T  # N^2 x rank, orthonormal columns
 
+    def project(x):
+        # onto the LS solution set: keep the row-space component of w0,
+        # move freely in the null space
+        return x + rowspace @ (rowspace.T @ (w0 - x))
+
     w = w0
     for _ in range(50):
-        W = w.reshape(N, N)
-        W = (W + W.T) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(W)
-        k = int(np.argmax(np.abs(eigvals)))
-        R = eigvals[k] * np.outer(eigvecs[:, k], eigvecs[:, k])
-        x = R.reshape(N * N)
-        # project back onto the LS solution set: keep the row-space
-        # component of w0, move freely in the null space
-        w_new = x + rowspace @ (rowspace.T @ (w0 - x))
+        _, value, v = _dominant_eigenpair(w.reshape(N, N))
+        w_new = project((value * np.outer(v, v)).reshape(N * N))
         if np.linalg.norm(w_new - w) < 1e-15 * max(1.0, np.linalg.norm(w)):
             w = w_new
             break
         w = w_new
 
-    W = w.reshape(N, N)
-    W = (W + W.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(W)
-    k = int(np.argmax(np.abs(eigvals)))
-    v = fix_signs(eigvecs[:, k])
-    h = B.T @ (math.sqrt(abs(float(eigvals[k]))) * v)
+    _, value, v = _dominant_eigenpair(w.reshape(N, N))
+    h = B.T @ (math.sqrt(abs(value)) * v)
 
     def in_span_error(h):
         return R_z @ (scale * h[iu] * h[ju]) - qt1
@@ -684,8 +679,5 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     residual = math.sqrt(cost / T)
 
     # report the quadratic form actually attained, kept inside the LS family
-    w_final = np.outer(g, g).reshape(N * N)
-    w_final = w_final + rowspace @ (rowspace.T @ (w0 - w_final))
-    W = w_final.reshape(N, N)
-    W = (W + W.T) / 2.0
-    return DetCmResult(g=g, matrix=W, residual=residual, rank=rank)
+    W = project(np.outer(g, g).reshape(N * N)).reshape(N, N)
+    return DetCmResult(g=g, matrix=(W + W.T) / 2.0, residual=residual, rank=rank)

@@ -203,10 +203,16 @@ def validate_scenario(scenario):
         raise ConfigError(f"mixing = {mixing}: {exc}") from None
     if model.source_count != len(specs):
         raise ConfigError(f"mixing = {mixing} takes {model.source_count} sources, the scenario has {len(specs)}")
-    # nonlinear_pca whitens first, which drops the null directions of a noise-free tall mixing
-    mode = scenario.get("algorithm.mode", AdaptConfig.mode)
-    if algorithm == "adaptive" and mode != "nonlinear_pca" and model.matrix.shape[0] != len(specs):
-        raise ConfigError(f"adaptive mode {mode} needs one sensor per source, mixing matrix {model.matrix.shape}")
+    if algorithm == "adaptive":
+        mode = scenario.get("algorithm.mode", AdaptConfig.mode)
+        sensors = model.matrix.shape[0]
+        # nonlinear_pca whitens first, which drops the null directions of a noise-free
+        # tall mixing; sensor noise fills them, and a wide mixing has fewer than its sources
+        if mode == "nonlinear_pca" and (sensors < len(specs) or sensors > len(specs) and model.noise_std > 0):
+            raise ConfigError(f"adaptive mode {mode} needs at least one sensor per source, and exactly one "
+                              f"under sensor noise, mixing matrix {model.matrix.shape}")
+        if mode != "nonlinear_pca" and sensors != len(specs):
+            raise ConfigError(f"adaptive mode {mode} needs one sensor per source, mixing matrix {model.matrix.shape}")
     return specs
 
 
@@ -287,7 +293,7 @@ def _adaptive(m, params):
     sep, trajectory = run_separation(m.U, scores, AdaptConfig(**params))
     index = _index(m, sep.matrix)
     verdict = bool(stability_check(sep.apply(m.U).data, scores).verdict)
-    return index, max(len(trajectory), 1), verdict
+    return index, len(trajectory) or None, verdict
 
 
 def _fastica(m, params):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import hermite_e
 
 from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, LagTooLarge
 
@@ -238,23 +238,12 @@ def psi4_contrast(C: Cumulant4Tensor):
     return diag, max(off, 0.0)
 
 
-@lru_cache(maxsize=None)
-def _hermite_coeffs(k: int):
-    # h_0 = 1, h_1 = y, h_{k+1} = y h_k - h_k'
-    coeffs = np.array([1.0])
-    for _ in range(k):
-        shifted = np.concatenate(([0.0], coeffs))
-        deriv = npoly.polyder(coeffs) if len(coeffs) > 1 else np.array([0.0])
-        coeffs = npoly.polysub(shifted, deriv)
-    return tuple(coeffs)
-
-
 def hermite(k: int, y):
     """Probabilists' Hermite polynomial h_k evaluated at y."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise InvalidSpec(f"hermite order must be a nonnegative integer, got {k!r}")
     y = np.asarray(y, dtype=float)
-    val = npoly.polyval(y, np.array(_hermite_coeffs(int(k))))
+    val = hermite_e.hermeval(y, [0.0] * int(k) + [1.0])
     return float(val) if val.ndim == 0 else val
 
 

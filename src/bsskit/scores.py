@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec
 
-SCORE_KINDS = ("cubic", "tanh", "sign_switching")
 _FORGETTING = 0.99  # of the sign-switching score's running moments
 # samples per block of a batch update: every weight of one block stays far above
 # the subnormal range, where pow is slow (lam^4095 is 1.4e-18)
@@ -23,15 +22,12 @@ class ScoreFunction:
     """Interface of a score.
 
     A subclass defines f(y) and fprime(y), elementwise over an array y, and
-    may define log_phi(y).  f_and_fprime(y) returns both at once and calls
-    f and fprime unless a subclass shares their work.  A score that keeps
-    state overrides update(y), which callers feed the outputs before they
-    evaluate f; keeps_state tells the two kinds apart.  batch_key() groups
-    scores whose f is one elementwise function.
+    may define log_phi(y); has_log_phi tells whether it does.  f_and_fprime(y)
+    returns both at once and calls f and fprime unless a subclass shares
+    their work.  A score that keeps state overrides update(y), which callers
+    feed the outputs before they evaluate f; keeps_state tells the two kinds
+    apart.  batch_key() groups scores whose f is one elementwise function.
     """
-
-    kind = "base"
-    has_log_phi = False
 
     def batch_key(self):
         """Scores with equal keys compute one elementwise function, so one call
@@ -49,10 +45,15 @@ class ScoreFunction:
         return self.f(y), self.fprime(y)
 
     def log_phi(self, y):
-        raise InvalidSpec(f"score {self.kind!r} has no closed-form log-density")
+        raise InvalidSpec(f"score {type(self).__name__} has no closed-form log-density")
 
     def update(self, y):
         """Feed data to state-tracking scores; a no-op for fixed ones."""
+
+    @property
+    def has_log_phi(self) -> bool:
+        """True when log_phi() is defined, so the criterion can be evaluated."""
+        return type(self).log_phi is not ScoreFunction.log_phi
 
     @property
     def keeps_state(self) -> bool:
@@ -60,11 +61,23 @@ class ScoreFunction:
         return type(self).update is not ScoreFunction.update
 
 
+def _apply_scores(scores, Y, method="f"):
+    """Channel i's score on row i of Y (N-vector or N x T), one call per batch_key."""
+    Y = np.asarray(Y, dtype=float)
+    keys = [s.batch_key() for s in scores]
+    if len(keys) != Y.shape[0]:
+        raise DimensionMismatch(f"{len(keys)} scores for {Y.shape[0]} channels")
+    if len(set(keys)) == 1:
+        return getattr(scores[0], method)(Y)
+    out = np.empty_like(Y)
+    for key in dict.fromkeys(keys):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        out[rows] = getattr(scores[rows[0]], method)(Y[rows])
+    return out
+
+
 class CubicScore(ScoreFunction):
     """f(y) = y^3, the model density exp(-y^4/4) up to normalization."""
-
-    kind = "cubic"
-    has_log_phi = True
 
     def f(self, y):
         y = np.asarray(y, dtype=float)
@@ -81,9 +94,6 @@ class CubicScore(ScoreFunction):
 
 class TanhScore(ScoreFunction):
     """f(y) = tanh(y), the model density 1/cosh(y) up to normalization."""
-
-    kind = "tanh"
-    has_log_phi = True
 
     def f(self, y):
         return np.tanh(y)
@@ -109,9 +119,6 @@ class SignSwitchingScore(ScoreFunction):
     contrast, which is how one-unit searches pick the right extremum per
     channel.  No closed-form density exists once the sign can flip.
     """
-
-    kind = "sign_switching"
-    has_log_phi = False
 
     def __init__(self):
         self.m2 = 1.0
@@ -150,8 +157,12 @@ class SignSwitchingScore(ScoreFunction):
         return self.kurtosis_sign * 3.0 * y * y
 
 
+_SCORES = {"cubic": CubicScore, "tanh": TanhScore, "sign_switching": SignSwitchingScore}
+SCORE_KINDS = tuple(_SCORES)
+
+
 def make_score(kind: str) -> ScoreFunction:
     """Instantiate a score by name; each call returns independent state."""
-    if kind not in SCORE_KINDS:
+    if kind not in _SCORES:
         raise InvalidSpec(f"unknown score kind {kind!r}; choose from {SCORE_KINDS}")
-    return {"cubic": CubicScore, "tanh": TanhScore, "sign_switching": SignSwitchingScore}[kind]()
+    return _SCORES[kind]()

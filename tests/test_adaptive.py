@@ -1,5 +1,7 @@
 """Universal criterion, per-sample updates, stability checks."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,35 @@ def test_run_separation_three_bpsk():
     gs = global_system(sep.matrix @ whitener.matrix, H)
     assert separation_index(gs.matrix) < -15.0
     assert len(trajectory) >= 1
+
+
+def test_a_score_that_defines_log_phi_gets_a_criterion_trajectory():
+    class Quartic(ScoreFunction):  # defines log_phi and sets no flag
+        def f(self, y):
+            return np.asarray(y, dtype=float) ** 3
+
+        def fprime(self, y):
+            return 3.0 * np.asarray(y, dtype=float) ** 2
+
+        def log_phi(self, y):
+            return -0.25 * np.asarray(y, dtype=float) ** 4
+
+    assert [make_score(k).has_log_phi for k in ("cubic", "tanh", "sign_switching")] == [True, True, False]
+    X = exact_bpsk_pair()
+    scores = [Quartic(), Quartic()]
+    sep, trajectory = run_separation(X, scores, AdaptConfig(step_size=0.01, max_iterations=2,
+                                                              convergence_tolerance=1e-12))
+    assert len(trajectory) == 2
+    assert trajectory[-1] == universal_criterion(sep.matrix, X, scores)
+
+
+def test_readme_library_quick_start_separates(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < -20.0
 
 
 def test_run_separation_two_laplace_tanh():

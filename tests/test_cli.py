@@ -447,6 +447,9 @@ def _swap(text, old, new):
     return text.replace(old, new)
 
 
+TALL_NOISY_NONLINEAR_PCA = _swap(TALL_NONLINEAR_PCA, "= static", "= noisy")
+
+
 # id: (a scenario that can never run, then the sweep that should stop at it:
 # the scenario it starts from, which may be the same one, and its arguments)
 CANNOT_RUN = {
@@ -481,6 +484,13 @@ CANNOT_RUN = {
         _swap(_swap(TALL_NONLINEAR_PCA, "= nonlinear_pca", "= relative"),
               "1 0.3 ; 0.2 1 ; 0.5 -0.4", "1 0.3 0.1 ; 0.2 1 0.4") + "source.3.kind = uniform\n",
         None, SAMPLES),
+    # whitening keeps the three noisy sensor directions, and the two of a wide mixing
+    "adaptive_nonlinear_pca_on_a_tall_noisy_mixing": (
+        TALL_NOISY_NONLINEAR_PCA + "mixing.noise_std = 0.1\n", TALL_NOISY_NONLINEAR_PCA + "mixing.noise_std = 0\n",
+        ["--param", "mixing.noise_std", "--values", "0,0.1"]),
+    "adaptive_nonlinear_pca_on_a_wide_mixing": (
+        _swap(TALL_NONLINEAR_PCA, "1 0.3 ; 0.2 1 ; 0.5 -0.4", "1 0.3 0.1 ; 0.2 1 0.4") + "source.3.kind = uniform\n",
+        None, SAMPLES),
 }
 
 
@@ -504,6 +514,42 @@ def test_adaptive_nonlinear_pca_runs_a_tall_mixing(tmp_path):
     assert main(["run", put(tmp_path, TALL_NONLINEAR_PCA), "--out", str(out)]) == 0
     recs = [_strict_json(line) for line in out.read_text().splitlines()]
     assert [rec["status"] for rec in recs] == ["ok", "ok"]
+
+
+SIGN_SWITCHING_PAIR = """\
+source.1.kind = laplace
+source.2.kind = laplace
+samples = 4000
+mixing = random_orthogonal
+algorithm = adaptive
+algorithm.score = sign_switching
+algorithm.epochs = 3
+algorithm.convergence_tolerance = 1e-12
+seed = 1
+repetitions = 2
+"""
+
+
+def test_adaptive_iters_is_null_without_a_criterion_trajectory(tmp_path):
+    # sign_switching has no log-density, so no epoch's criterion is recorded
+    out = tmp_path / "r.jsonl"
+    text = SIGN_SWITCHING_PAIR + "algorithm.step_size = 0.0005\n"
+    assert main(["run", put(tmp_path, text), "--out", str(out)]) == 0
+    recs = [_strict_json(line) for line in out.read_text().splitlines()]
+    assert [(rec["status"], rec["iters"]) for rec in recs] == [("ok", None), ("ok", None)]
+    text = _swap(text, "= sign_switching", "= cubic")
+    assert main(["run", put(tmp_path, text), "--out", str(out)]) == 0
+    assert [rec["iters"] for rec in records_of(out)] == [3, 3]
+
+
+def test_a_diverging_adaptive_run_stops_without_warnings(tmp_path):
+    # two uniform sources at the default step: the sign-switching score overflows
+    text = SIGN_SWITCHING_PAIR.replace("laplace", "uniform")
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bsskit.cli", "run", put(tmp_path, text)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert (run.returncode, run.stderr) == (3, "")
+    assert [rec["status"] for rec in map(_strict_json, run.stdout.splitlines())] == ["Diverged", "Diverged"]
 
 
 @pytest.mark.parametrize("literal", ["1 2 ; 3", ";", "", "1 x ; 2 3"],

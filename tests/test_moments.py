@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,6 +266,23 @@ def test_hermite_recursion_values():
     assert np.allclose(hermite(1, y), y)
     assert hermite(2, np.array([2.0]))[0] == pytest.approx(3.0)
     assert hermite(3, np.array([1.0]))[0] == pytest.approx(-2.0)
+
+
+def _hermite_by_recursion(k, y):
+    # power-series coefficients of h_0 = 1, h_{k+1} = y h_k - h_k'
+    coeffs = np.array([1.0])
+    for _ in range(k):
+        deriv = npoly.polyder(coeffs) if len(coeffs) > 1 else np.array([0.0])
+        coeffs = npoly.polysub(np.concatenate(([0.0], coeffs)), deriv)
+    return npoly.polyval(y, coeffs)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_hermite_matches_the_power_series_recursion(k):
+    y = np.linspace(-10.0, 10.0, 2001)
+    expected = _hermite_by_recursion(k, y)
+    assert np.all(np.abs(hermite(k, y) - expected) <= 1e-12 * np.maximum(np.abs(expected), 1.0))
+    assert isinstance(hermite(k, 0.5), float)
 
 
 def test_edgeworth_gaussian_case():
