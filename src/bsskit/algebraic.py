@@ -24,6 +24,7 @@ from .errors import (
     ZeroContraction,
     ZeroUpdate,
 )
+from .fixedpoint import _check_stop_rule
 from .moments import (Cumulant4Tensor, _as_data, _pair_products, cumulant_matrix, estimate_cum4,
                       tucker_transform, unfold)
 from .second_order import Separator, Whitener, fix_signs, whiten
@@ -200,8 +201,10 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
     Iterates g <- C . g . g . g (contraction on three modes), normalized
     each step; convergence is on the direction, so eigenvalue sign flips do
     not stall it.  Returns (lambda, g) with lambda = C contracted with g on
-    all four modes.
+    all four modes.  The direction settles once 1 - |<g+, g>| < tolerance,
+    with 0 < tolerance < 1.
     """
+    _check_stop_rule(max_iterations, tolerance)
     V = C.values
     if init is None:
         g = hoevd(C)[0][:, 0]

@@ -7,11 +7,13 @@ separators are assembled by deflating one unit at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, ZeroUpdate
-from .moments import _as_data, kurtosis
+from .moments import _as_data, _pair_gram, kurtosis
+from .scores import CubicScore
 from .second_order import Separator, fix_signs
 
 _NORM_FLOOR = 1e-12
@@ -21,6 +23,12 @@ _STEP_BLOCK = 8192
 # samples per block of the cma recursion: on one core 32 was no faster at
 # N = 3 and slower at N = 16, and 128 was slower at both
 _CMA_BLOCK = 64
+# most channels for which deflate_extract runs cubic newton/fixed_point units
+# on the fourth-moment Gram.  Extracting all N units of sphered uniform
+# mixtures with newton on one core, the Gram path against streaming took
+# 93 against 103 ms at N = 24, T = 20 000 (393 against 450 ms at T = 100 000),
+# but 152 against 134 ms at N = 28, T = 20 000.
+_MOMENT_MAX_N = 24
 
 VARIANTS = ("newton", "fixed_point", "gradient")
 
@@ -89,11 +97,56 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
         g_plus = euf
     else:
         g_plus = g + mu * (euf - beta * g)
+    return _stepped(g_plus, beta, state)
+
+
+def _stepped(g_plus, beta: float, state: OneUnitState) -> OneUnitState:
+    """The state after a step to g_plus: normalized and sign-fixed."""
     norm = np.linalg.norm(g_plus)
     if norm < _NORM_FLOOR:
         raise ZeroUpdate(f"update norm {norm:.3e} below {_NORM_FLOOR:.0e}")
     g_plus = fix_signs(g_plus / norm)
     return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
+
+
+def _cubic_moment_step(X: np.ndarray, newton: bool):
+    """fastica_step for CubicScore as a contraction of the data's moments.
+
+    The data are read once, into the Gram of the pair products u_i u_j
+    (every E[u_i u_j u_k u_l]) and m2 = E[u u^T].  A step then costs
+    O(N^4) and reads neither: with weights c_ij = 1 on the diagonal and 2
+    off it, v = Gram (c * g_i g_j) holds E[u_i u_j y^2] for i <= j, S is v
+    unpacked into a symmetric matrix, and
+
+        E[u y^3] = S g,  beta = E[y^4] = g.S g,  E[y^2] = g.m2 g.
+    """
+    N, T = X.shape
+    if T == 0:
+        raise DimensionMismatch("the data has no samples")
+    gram, pair_means = _pair_gram(X)
+    iu, ju = np.triu_indices(N)
+    weights = np.where(iu == ju, 1.0, 2.0)
+    m2 = np.empty((N, N))
+    m2[iu, ju] = m2[ju, iu] = pair_means
+    S = np.empty((N, N))
+
+    def step(state: OneUnitState) -> OneUnitState:
+        g = state.g
+        S[iu, ju] = S[ju, iu] = gram @ (weights * g[iu] * g[ju])
+        euy3 = S @ g
+        g_plus = euy3 - (3.0 * float(g @ m2 @ g)) * g if newton else euy3
+        return _stepped(g_plus, float(g @ euy3), state)
+
+    return step
+
+
+def _check_stop_rule(max_iterations: int, tolerance: float):
+    """A direction search stops once 1 - |<g+, g>| < tolerance, so a tolerance
+    of 1 or more stops it after one step and one of 0 or less never does."""
+    if max_iterations < 1:
+        raise InvalidSpec(f"max_iterations must be at least 1, got {max_iterations}")
+    if not 0.0 < tolerance < 1.0:
+        raise InvalidSpec(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
 
 
 def deflate_extract(U, score, count: int, variant: str = "newton", max_iterations: int = 200,
@@ -103,7 +156,13 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     ``score`` is either a ScoreFunction instance (shared across units) or a
     zero-argument callable producing a fresh instance per unit, which is the
     right choice for state-tracking scores.  Each unit iterates until the
-    direction settles: |<g_k+1, g_k>| > 1 - tolerance.
+    direction settles: |<g_k+1, g_k>| > 1 - tolerance, with 0 < tolerance < 1.
+
+    A unit whose score is exactly CubicScore, under the newton or
+    fixed_point variant, on at most _MOMENT_MAX_N channels, runs on the
+    fourth-moment Gram: the data are read once for all such units, and each
+    step is an O(N^4) contraction (see _cubic_moment_step).  Every other
+    unit streams the data through fastica_step on each step.
 
     Raises NotConverged with the failing row index when a unit stalls.
     """
@@ -111,10 +170,18 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     N = X.shape[0]
     if not (1 <= count <= N):
         raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
+    _check_stop_rule(max_iterations, tolerance)
+    moment_step = None
     rng = np.random.default_rng(seed)
     rows = []
     for r in range(count):
         unit_score = score() if callable(score) else score
+        if type(unit_score) is CubicScore and variant in ("newton", "fixed_point") and N <= _MOMENT_MAX_N:
+            if moment_step is None:
+                moment_step = _cubic_moment_step(X, newton=variant == "newton")
+            step = moment_step
+        else:
+            step = partial(fastica_step, U=X, score=unit_score, variant=variant)
         R = np.array(rows).reshape(r, N)  # the units found so far
         g = rng.standard_normal(N)
         g = g - R.T @ (R @ g)
@@ -122,7 +189,7 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
         state = OneUnitState(g=g)
         for _ in range(max_iterations):
             prev = state.g
-            state = fastica_step(state, X, unit_score, variant=variant)
+            state = step(state)
             g = state.g
             if rows:
                 g = g - R.T @ (R @ g)

@@ -130,6 +130,24 @@ def _pair_products(X: np.ndarray, transform: np.ndarray | None = None):
         yield P
 
 
+def _pair_gram(X: np.ndarray):
+    """E[p p^T] and E[p] over the samples of X, p = (x_i x_j)_{i<=j}.
+
+    One pass over X through _pair_products, rows in np.triu_indices order:
+    the Gram holds every fourth moment E[x_i x_j x_k x_l], and E[p] every
+    second moment E[x_i x_j].  X is taken as given, without centring.
+    """
+    T = X.shape[1]
+    n = X.shape[0] * (X.shape[0] + 1) // 2
+    gram = np.zeros((n, n))
+    total = np.zeros(n)
+    for P in _pair_products(X):
+        gram += P @ P.T
+        total += P.sum(axis=1)
+    gram /= T
+    return gram, total / T
+
+
 def estimate_cum4(U) -> Cumulant4Tensor:
     """Fourth-order cumulant tensor from sample moments.
 
@@ -144,14 +162,10 @@ def estimate_cum4(U) -> Cumulant4Tensor:
     N, T = X.shape
     X = X - X.mean(axis=1, keepdims=True)
     m2 = X @ X.T / T
-    n = N * (N + 1) // 2
-    gram = np.zeros((n, n))
-    for P in _pair_products(X):
-        gram += P @ P.T
-    gram /= T
+    gram, _ = _pair_gram(X)
     iu, ju = np.triu_indices(N)  # the pair rows' (i, j), in row order
     pair_of = np.empty((N, N), dtype=np.intp)
-    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(n)
+    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
     m4 = gram[np.ix_(pair_of.ravel(), pair_of.ravel())].reshape(N, N, N, N)
     cum = (
         m4

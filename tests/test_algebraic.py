@@ -432,6 +432,17 @@ def test_hopm_orthogonal_start_finds_other_component():
     assert np.isclose(lam, -2.0, atol=1e-10)
 
 
+def test_hopm_stop_rule_must_be_able_to_fire_and_to_hold():
+    # 1 - |<g+, g>| < tolerance stops the power method: a tolerance of 1 or
+    # more would stop it after one step, one of 0 or less would never stop it
+    C = rank1_tensor(-1.7, np.array([0.6, 0.8, 0.0]))
+    init = np.array([1.0, 0.0, 0.0])
+    for max_iterations, tolerance in ((500, 1.0), (500, 3.0), (500, 0.0), (500, -1e-12),
+                                      (500, float("nan")), (0, 1e-12)):
+        with pytest.raises(InvalidSpec):
+            hopm(C, init=init, max_iterations=max_iterations, tolerance=tolerance)
+
+
 # --------------------------------------------------------------- parafac
 
 

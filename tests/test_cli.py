@@ -310,7 +310,12 @@ def _strict_json(line):
     ("algorithm = jacobi\nalgorithm.max_sweeps = 0\n", "NotConverged"),
     ("algorithm = cma\nalgorithm.step_size = 50\n", "Diverged"),
     ("algorithm = cma\nalgorithm.epochs = 0\n", "InvalidSpec"),
-], ids=["jacobi_sweep_cap", "cma_diverging", "cma_no_epochs"])
+    # a direction tolerance of 1 or more would stop after one step
+    ("algorithm = sea\nalgorithm.tolerance = 5\n", "InvalidSpec"),
+    ("algorithm = rank1_sea\nalgorithm.tolerance = 3\n", "InvalidSpec"),
+    ("algorithm = fastica\nalgorithm.max_iterations = 0\n", "InvalidSpec"),
+], ids=["jacobi_sweep_cap", "cma_diverging", "cma_no_epochs", "sea_tolerance_5", "rank1_sea_tolerance_3",
+        "fastica_no_iterations"])
 def test_capped_or_diverging_runs_are_never_ok(tmp_path, algorithm, status):
     out = tmp_path / "r.jsonl"
     assert main(["run", put(tmp_path, THREE_BPSK + algorithm), "--out", str(out)]) == 3
