@@ -214,10 +214,8 @@ def stability_check(Y, scores) -> StabilityReport:
     therefore required to clear 1 by _PAIR_MARGIN, and boundary cases
     classify as unstable.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _as_data(np.atleast_2d(Y))
     N = Y.shape[0]
-    if len(scores) != N:
-        raise DimensionMismatch(f"{len(scores)} scores for {N} channels")
     sigma2 = np.mean(Y * Y, axis=1)
     F = _apply_scores(scores, Y)
     Fp = _apply_scores(scores, Y, method="fprime")
@@ -262,7 +260,7 @@ def bussgang_residual(Y, scores) -> float:
     Vanishes at separation when each source satisfies the Bussgang property
     under its score, and stays visibly nonzero at non-separating rotations.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _as_data(np.atleast_2d(Y))
     T = Y.shape[1]
     F = _apply_scores(scores, Y)
     return float(np.linalg.norm((F - Y) @ Y.T / T))

@@ -49,18 +49,14 @@ def _pair_coefficients(t0, t1, t2, t3, t4):
 def _cumulant_pair_angle(V, P):
     # The pair's 2^4 block of the rotated tensor: V contracted with the rows
     # P on every mode.  The mass peaks at a unit-circle root of its derivative
-    # times 2 z^2 / i, 2 c2 z^4 + c1 z^3 - conj(c1) z - 2 conj(c2), or at phi =
-    # -arg c1 if c2 = 0; phi = 0 stays a candidate so the gain is never < 0.
+    # times 2 z^2 / i, 2 c2 z^4 + c1 z^3 - conj(c1) z - 2 conj(c2); np.roots
+    # drops a vanishing c2 and solves the cubic left, whose roots then hold
+    # phi = -arg c1.  phi = 0 stays a candidate so the gain is never < 0.
     N = P.shape[1]
     B = (P @ V.reshape(N, -1)).reshape(-1, N) @ P.T
     B = P @ (P @ B.reshape(2, N, 2 * N)).reshape(4, N, 2)
     c1, c2 = _pair_coefficients(*B.ravel()[[0, 1, 3, 7, 15]].tolist())
-    if c2 == 0.0:
-        roots = [c1.conjugate()]
-    else:
-        companion = np.eye(4, k=-1, dtype=complex)
-        companion[0] = (-c1 / (2.0 * c2), 0.0, c1.conjugate() / (2.0 * c2), c2.conjugate() / c2)
-        roots = np.linalg.eigvals(companion)
+    roots = np.roots([2.0 * c2, c1, 0.0, -c1.conjugate(), -2.0 * c2.conjugate()])
     z = np.concatenate(([1.0], np.exp(1j * np.angle(roots))))
     gains = (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
     best = int(np.argmax(gains))
@@ -205,7 +201,7 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
     with 0 < tolerance < 1.
     """
     _check_stop_rule(max_iterations, tolerance)
-    V = C.values
+    V = C.values.reshape(C.dim**2, -1)  # the 2x2 unfolding: C.g.g.g is V (g (x) g), reshaped, times g
     if init is None:
         g = hoevd(C)[0][:, 0]
     else:
@@ -217,15 +213,15 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
             raise ZeroUpdate("init vector has zero norm")
         g = g / norm
     for _ in range(max_iterations):
-        t = np.einsum("ijkl,j,k,l->i", V, g, g, g)
+        t = (V @ np.outer(g, g).ravel()).reshape(g.size, g.size) @ g
         norm = np.linalg.norm(t)
         if norm < 1e-12:
             raise ZeroContraction(f"contraction norm {norm:.3e} vanished")
         g_new = t / norm
         if 1.0 - abs(float(g_new @ g)) < tolerance:
             g = fix_signs(g_new)
-            lam = float(np.einsum("ijkl,i,j,k,l->", V, g, g, g, g))
-            return lam, g
+            gg = np.outer(g, g).ravel()
+            return float(gg @ V @ gg), g
         g = g_new
     raise NotConverged(f"power method did not settle in {max_iterations} iterations")
 
@@ -583,7 +579,7 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     X = _as_data(U)
     N, T = X.shape
     eps = np.finfo(float).eps
-    lam, V = np.linalg.eigh(X @ X.T / max(T, 1))
+    lam, V = np.linalg.eigh(X @ X.T / T)
     if not lam[-1] > 0.0:
         raise RankDeficient(f"regressor rank 0 below identifiable minimum {1 + N * (N - 1) // 2}")
     # a null direction of M2 is floored rather than dropped, so the SVD of

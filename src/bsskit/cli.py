@@ -46,7 +46,7 @@ from .algebraic import (UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonali
                         unimodal_equalizer)
 from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
 from .fixedpoint import VARIANTS, cma, deflate_extract
-from .metrics import DB_CEIL, DB_FLOOR, separation_index
+from .metrics import _clamped_db, separation_index
 from .moments import estimate_cum4
 from .scores import SCORE_KINDS, make_score
 from .second_order import amuse, whiten
@@ -253,11 +253,7 @@ def _delay_match_index(y, A, max_delay):
                 continue
             c = float(np.mean(seg * a))
             best = max(best, abs(c))
-    signal = best * best
-    leak = max(1.0 - signal, 0.0)
-    if signal <= 0.0:
-        return DB_CEIL if leak > 0.0 else DB_FLOOR
-    return float(np.clip(10.0 * np.log10(leak / signal), DB_FLOOR, DB_CEIL))
+    return _clamped_db(1.0 - best * best, best * best)
 
 
 _Mixture = namedtuple("_Mixture", "A model U seed")  # sources, mixing model, sensors, algorithm seed

@@ -11,10 +11,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, ZeroUpdate
+from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
 from .moments import _as_data, _pair_gram, kurtosis
 from .scores import CubicScore
-from .second_order import Separator, fix_signs
+from .second_order import _RANK_TOLERANCE, Separator, fix_signs
 
 _NORM_FLOOR = 1e-12
 # samples per block of a fastica_step pass: at N = 4 on one core a step takes
@@ -71,8 +71,6 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     g = np.asarray(state.g, dtype=float)
     if g.shape != (N,):
         raise DimensionMismatch(f"g has shape {g.shape} for {N} channels")
-    if T == 0:
-        raise DimensionMismatch("the data has no samples")
     y = None
     if score.keeps_state:
         y = g @ X
@@ -109,26 +107,20 @@ def _stepped(g_plus, beta: float, state: OneUnitState) -> OneUnitState:
     return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
 
 
-def _cubic_moment_step(X: np.ndarray, newton: bool):
+def _cubic_moment_step(gram: np.ndarray, m2: np.ndarray, newton: bool):
     """fastica_step for CubicScore as a contraction of the data's moments.
 
-    The data are read once, into the Gram of the pair products u_i u_j
-    (every E[u_i u_j u_k u_l]) and m2 = E[u u^T].  A step then costs
-    O(N^4) and reads neither: with weights c_ij = 1 on the diagonal and 2
-    off it, v = Gram (c * g_i g_j) holds E[u_i u_j y^2] for i <= j, S is v
-    unpacked into a symmetric matrix, and
+    The data are read once, by _pair_gram, into the Gram of the pair
+    products u_i u_j (every E[u_i u_j u_k u_l]) and m2 = E[u u^T].  A step
+    then costs O(N^4) and reads neither: with weights c_ij = 1 on the
+    diagonal and 2 off it, v = Gram (c * g_i g_j) holds E[u_i u_j y^2] for
+    i <= j, S is v unpacked into a symmetric matrix, and
 
         E[u y^3] = S g,  beta = E[y^4] = g.S g,  E[y^2] = g.m2 g.
     """
-    N, T = X.shape
-    if T == 0:
-        raise DimensionMismatch("the data has no samples")
-    gram, pair_means = _pair_gram(X)
-    iu, ju = np.triu_indices(N)
+    iu, ju = np.triu_indices(len(m2))
     weights = np.where(iu == ju, 1.0, 2.0)
-    m2 = np.empty((N, N))
-    m2[iu, ju] = m2[ju, iu] = pair_means
-    S = np.empty((N, N))
+    S = np.empty_like(m2)
 
     def step(state: OneUnitState) -> OneUnitState:
         g = state.g
@@ -164,21 +156,25 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     step is an O(N^4) contraction (see _cubic_moment_step).  Every other
     unit streams the data through fastica_step on each step.
 
-    Raises NotConverged with the failing row index when a unit stalls.
+    Raises NotConverged with the failing row index when a unit stalls, and
+    RankDeficient when a settled unit's output power E[y^2] falls below
+    whiten's null-direction floor, _RANK_TOLERANCE times E[u u^T]'s largest
+    eigenvalue: the unit then lies in the data's null space.
     """
     X = _as_data(U)
     N = X.shape[0]
     if not (1 <= count <= N):
         raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
     _check_stop_rule(max_iterations, tolerance)
-    moment_step = None
+    moment_step = m2 = None
     rng = np.random.default_rng(seed)
     rows = []
     for r in range(count):
         unit_score = score() if callable(score) else score
         if type(unit_score) is CubicScore and variant in ("newton", "fixed_point") and N <= _MOMENT_MAX_N:
             if moment_step is None:
-                moment_step = _cubic_moment_step(X, newton=variant == "newton")
+                gram, m2 = _pair_gram(X)
+                moment_step = _cubic_moment_step(gram, m2, newton=variant == "newton")
             step = moment_step
         else:
             step = partial(fastica_step, U=X, score=unit_score, variant=variant)
@@ -202,6 +198,10 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
                 break
         else:
             raise NotConverged(f"unit {r} did not settle in {max_iterations} iterations", index=r)
+        if m2 is None:  # only streamed units so far: one pass for E[u u^T]
+            m2 = X @ X.T / X.shape[1]
+        if state.g @ m2 @ state.g < _RANK_TOLERANCE * np.linalg.eigvalsh(m2)[-1]:
+            raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
         rows.append(state.g)
     return Separator(matrix=np.vstack(rows))
 

@@ -92,6 +92,11 @@ def separation_index(S) -> float:
     for r, c in enumerate(permutation):
         if c < 0:
             leak += float(S[r] @ S[r])
+    return _clamped_db(leak, signal)
+
+
+def _clamped_db(leak: float, signal: float) -> float:
+    """10 log10(leak / signal), clamped to [DB_FLOOR, DB_CEIL]: no leak reads DB_FLOOR, else no signal DB_CEIL."""
     leak = max(leak, 0.0)
     if signal <= 0.0:
         return DB_CEIL if leak > 0.0 else DB_FLOOR

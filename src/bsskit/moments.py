@@ -16,6 +16,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, LagTooLarge
+from .signals import _checked_shape
 
 _INV_PERMS4 = [tuple(np.argsort(perm)) for perm in itertools.permutations(range(4))]
 
@@ -28,11 +29,7 @@ _VAR_FLOOR = 1e-12
 
 def _as_data(U) -> np.ndarray:
     """Accept a SignalMatrix or a bare channels x samples array."""
-    data = getattr(U, "data", U)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D channel matrix, got shape {arr.shape}")
-    return arr
+    return _checked_shape(np.asarray(getattr(U, "data", U), dtype=float))
 
 
 def _symmetrize4(values: np.ndarray) -> np.ndarray:
@@ -131,21 +128,22 @@ def _pair_products(X: np.ndarray, transform: np.ndarray | None = None):
 
 
 def _pair_gram(X: np.ndarray):
-    """E[p p^T] and E[p] over the samples of X, p = (x_i x_j)_{i<=j}.
+    """E[p p^T] over the samples of X, p = (x_i x_j)_{i<=j}, and m2 = E[x x^T].
 
     One pass over X through _pair_products, rows in np.triu_indices order:
-    the Gram holds every fourth moment E[x_i x_j x_k x_l], and E[p] every
-    second moment E[x_i x_j].  X is taken as given, without centring.
+    the Gram holds every fourth moment E[x_i x_j x_k x_l], and m2, unpacked
+    from E[p], every second moment.  X is taken as given, without centring.
     """
-    T = X.shape[1]
-    n = X.shape[0] * (X.shape[0] + 1) // 2
-    gram = np.zeros((n, n))
-    total = np.zeros(n)
+    N, T = X.shape
+    iu, ju = np.triu_indices(N)
+    gram = np.zeros((iu.size, iu.size))
+    total = np.zeros(iu.size)
     for P in _pair_products(X):
         gram += P @ P.T
         total += P.sum(axis=1)
-    gram /= T
-    return gram, total / T
+    m2 = np.empty((N, N))
+    m2[iu, ju] = m2[ju, iu] = total / T
+    return gram / T, m2
 
 
 def estimate_cum4(U) -> Cumulant4Tensor:
@@ -159,10 +157,8 @@ def estimate_cum4(U) -> Cumulant4Tensor:
     ever built.
     """
     X = _as_data(U)
-    N, T = X.shape
-    X = X - X.mean(axis=1, keepdims=True)
-    m2 = X @ X.T / T
-    gram, _ = _pair_gram(X)
+    N = X.shape[0]
+    gram, m2 = _pair_gram(X - X.mean(axis=1, keepdims=True))
     iu, ju = np.triu_indices(N)  # the pair rows' (i, j), in row order
     pair_of = np.empty((N, N), dtype=np.intp)
     pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
@@ -194,7 +190,7 @@ def cumulant_matrix(U, M) -> np.ndarray:
 
 def kurtosis(y) -> float:
     """Excess kurtosis of a single channel after standardization."""
-    y = np.asarray(y, dtype=float).ravel()
+    y = _as_data(np.atleast_2d(y)).ravel()
     y = y - y.mean()
     y2 = y * y
     var = float(np.mean(y2))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec, LagTooLarge
+from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec
 from .moments import _as_data, sample_covariance
 from .signals import SignalMatrix
 
@@ -30,6 +30,13 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
     columns[:, pivots < 0] *= -1
     return vectors
+
+
+def _sorted_eigh(R: np.ndarray):
+    """Eigenpairs of the symmetric part of R: eigenvalues descending, vectors sign-fixed."""
+    eigvals, eigvecs = np.linalg.eigh((R + R.T) / 2.0)
+    order = np.argsort(eigvals)[::-1]
+    return eigvals[order], fix_signs(eigvecs[:, order])
 
 
 @dataclass(frozen=True)
@@ -85,17 +92,10 @@ def whiten(U):
     (Whitener, SignalMatrix)
     """
     X = _as_data(U)
-    T = X.shape[1]
-    if T < 1:
-        raise LagTooLarge("no samples to whiten")
     mean = X.mean(axis=1)
     Xc = X - mean[:, None]
-    R = Xc @ Xc.T / T  # sample_covariance(X, 0), from the one centred copy
-    R = (R + R.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(R)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = fix_signs(eigvecs[:, order])
+    eigvals, eigvecs = _sorted_eigh(Xc @ Xc.T / X.shape[1])  # sample_covariance(X, 0), from Xc
+    eigvals = np.clip(eigvals, 0.0, None)
     if eigvals[0] <= 0.0:
         raise DegenerateInput("all covariance eigenvalues vanish")
     rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
@@ -118,12 +118,7 @@ def amuse(U, lag: int = 1, gap_tolerance: float = 0.05) -> Separator:
     if lag < 1:
         raise InvalidSpec(f"amuse needs lag >= 1, got {lag}")
     whitener, Ubar = whiten(U)
-    R = sample_covariance(Ubar, lag).matrix
-    R = (R + R.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(R)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    Q = fix_signs(eigvecs[:, order])
+    eigvals, Q = _sorted_eigh(sample_covariance(Ubar, lag).matrix)
     gaps = np.abs(np.diff(eigvals))
     if gaps.size and float(gaps.min()) <= gap_tolerance:
         worst = int(np.argmin(gaps))

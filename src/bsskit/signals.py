@@ -43,9 +43,14 @@ class SourceSpec:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
-def _frozen_signal(arr: np.ndarray) -> np.ndarray:
+def _checked_shape(arr: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionMismatch(f"signal data must be 2-D, got shape {arr.shape}")
+        raise DimensionMismatch(f"signal data must be a 2-D array of at least 1 x 1, got shape {arr.shape}")
+    return arr
+
+
+def _frozen_signal(arr: np.ndarray) -> np.ndarray:
+    _checked_shape(arr)
     if not np.all(np.isfinite(arr)):
         raise InvalidSpec("signal data contains non-finite entries")
     arr.setflags(write=False)
@@ -175,13 +180,6 @@ def _draw(spec: SourceSpec, row: np.ndarray, rng: np.random.Generator) -> None:
         rng.standard_normal(out=e)
         e *= math.sqrt(1.0 - rho * rho)
         row[:] = _ar1_blocks(rho, E).ravel()[_AR_BURN_IN:n]
-
-
-def _ar1_filter(rho: float, e: np.ndarray) -> np.ndarray:
-    """x[n] = rho x[n-1] + e[n] from a zero state."""
-    E = np.zeros((-(-e.size // _AR_BLOCK), _AR_BLOCK))
-    E.ravel()[:e.size] = e
-    return _ar1_blocks(rho, E).ravel()[:e.size]
 
 
 def _ar1_blocks(rho: float, E: np.ndarray) -> np.ndarray:

@@ -432,6 +432,41 @@ def test_hopm_orthogonal_start_finds_other_component():
     assert np.isclose(lam, -2.0, atol=1e-10)
 
 
+def reference_hopm(C, g, max_iterations=500, tolerance=1e-12):
+    """The power method on the tensor itself, by einsum, from a unit-norm start."""
+    V = C.values
+    for _ in range(max_iterations):
+        t = np.einsum("ijkl,j,k,l->i", V, g, g, g)
+        g_new = t / np.linalg.norm(t)
+        if 1.0 - abs(float(g_new @ g)) < tolerance:
+            g = fix_signs(g_new)
+            return float(np.einsum("ijkl,i,j,k,l->", V, g, g, g, g)), g
+        g = g_new
+    raise NotConverged("reference power method did not settle")
+
+
+def test_hopm_starts_from_the_hoevd_factor():
+    # exact diagonal cumulants under a rotation: the leading HO-EVD factor is
+    # the source of largest |kurtosis|, a fixed point of the power method
+    Q0 = random_orthogonal(4, 50)
+    C = tucker_transform(diag_tensor([-1.2, 2.0, 0.5, -0.3]), Q0)
+    lam, g = hopm(C)
+    assert np.isclose(lam, 2.0, atol=1e-10)
+    assert abs(float(g @ Q0[:, 1])) > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(3, 51), (8, 52)])
+def test_hopm_matches_the_einsum_power_method_and_raises_at_its_cap(n, seed):
+    X = whiten(mix(MixingModel("static", matrix=random_orthogonal(n, seed)),
+                   generate_sources([SourceSpec("uniform", seed=seed + k) for k in range(n)], 2_000)))[1]
+    C = estimate_cum4(X)
+    lam, g = hopm(C)
+    ref_lam, ref_g = reference_hopm(C, hoevd(C)[0][:, 0])
+    assert np.max(np.abs(g - ref_g)) < 1e-10 and abs(lam - ref_lam) < 1e-10
+    with pytest.raises(NotConverged):
+        hopm(C, max_iterations=1)
+
+
 def test_hopm_stop_rule_must_be_able_to_fire_and_to_hold():
     # 1 - |<g+, g>| < tolerance stops the power method: a tolerance of 1 or
     # more would stop it after one step, one of 0 or less would never stop it

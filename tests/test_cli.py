@@ -323,6 +323,33 @@ def test_capped_or_diverging_runs_are_never_ok(tmp_path, algorithm, status):
     assert [(rec["status"], rec["index_db"]) for rec in recs] == [(status, None)]
 
 
+def test_a_linear_algebra_failure_is_a_failed_record(tmp_path, monkeypatch):
+    def fails(m, params):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(ALGORITHMS, "jade", (fails, {}))
+    out = tmp_path / "r.jsonl"
+    assert main(["run", put(tmp_path, THREE_BPSK + "algorithm = jade\n"), "--out", str(out)]) == 3
+    recs = [_strict_json(line) for line in out.read_text().splitlines()]
+    assert [(rec["status"], rec["index_db"]) for rec in recs] == [("LinAlgError", None)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_random_condition_mixing_has_the_named_singular_values(tmp_path, n):
+    sources = "".join(f"source.{i}.kind = uniform\n" for i in range(1, n + 1))
+    text = sources + "samples = 100\nalgorithm = jade\nmixing = random_condition(10)\n"
+    scenario = parse_scenario(text)
+    validate_scenario(scenario)
+    build, _ = MIXINGS["random_condition(c)"]
+    for mix_seed in (0, 7):
+        svals = np.linalg.svd(build(scenario, n, mix_seed, 0).matrix, compute_uv=False)
+        assert np.max(np.abs(svals - np.geomspace(1.0, 0.1, n))) <= 1e-12
+    below_one = text.replace("(10)", "(0.5)")
+    with pytest.raises(ConfigError, match="c >= 1"):
+        validate_scenario(parse_scenario(below_one))
+    assert main(["run", put(tmp_path, below_one)]) == 2
+
+
 _FUZZ_KEYS = ["algorithm", "samples", "seed", "repetitions", "mixing", "source.1.kind",
               "source.1.ar_coefficient", "mixing.matrix", "mixing.tap.0", "mixing.noise_std",
               "algorithm.step_size", "algorithm.mode", "algorithm.max_sweeps"]

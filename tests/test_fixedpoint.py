@@ -15,6 +15,7 @@ from bsskit import (
     MixingModel,
     NotConverged,
     OneUnitState,
+    RankDeficient,
     ScoreFunction,
     SourceSpec,
     ZeroUpdate,
@@ -434,6 +435,17 @@ def test_cubic_moment_path_matches_the_streamed_reference(N, T, seed):
             continue
         sep = deflate_extract(X, CubicScore, count, variant=variant, seed=seed)
         assert np.max(np.abs(sep.matrix - reference)) <= 1e-12, where
+
+
+@pytest.mark.parametrize("kind", ["cubic", "tanh"])  # the Gram path, the streamed one
+def test_units_beyond_the_data_rank_are_rank_deficient(kind):
+    # one sample has rank one: the second unit lies in its null space, where
+    # every moment is rounding noise
+    X = moment_test_data(4, 1, seed=0)
+    with pytest.raises(RankDeficient, match="unit 1 "):
+        deflate_extract(X, lambda: make_score(kind), count=4)
+    reference = reference_deflate_extract(X, lambda: make_score(kind), 1)
+    assert np.max(np.abs(deflate_extract(X, lambda: make_score(kind), count=1).matrix - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind, N, streams", [

@@ -1,21 +1,29 @@
 """Source generation, mixing variants, and the block-Toeplitz lift."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import bsskit
 from bsskit import (
+    AdaptConfig,
+    CubicScore,
     DimensionMismatch,
     InvalidSpec,
     MixingModel,
+    OneUnitState,
+    Separator,
     SignalMatrix,
     SourceSpec,
+    Whitener,
     convolve_mimo,
     generate_sources,
     lift_convolutive,
     mix,
     window_stack,
 )
-from bsskit.signals import _AR_BURN_IN, _ar1_filter
+from bsskit.signals import _AR_BLOCK, _AR_BURN_IN, _ar1_blocks
 
 SQRT3 = np.sqrt(3.0)
 
@@ -54,6 +62,13 @@ def test_ar1_lag_one_autocorrelation():
     rho = np.mean(x[1:] * x[:-1]) / x.var()
     assert abs(rho - 0.9) < 0.02
     assert abs(x.var() - 1.0) < 0.05
+
+
+def _ar1_filter(rho, e):
+    """x[n] = rho x[n-1] + e[n] from a zero state, through the blocked filter."""
+    E = np.zeros((-(-e.size // _AR_BLOCK), _AR_BLOCK))
+    E.ravel()[:e.size] = e
+    return _ar1_blocks(rho, E).ravel()[:e.size]
 
 
 def scalar_ar1(rho, e):
@@ -274,3 +289,44 @@ def test_mixing_model_validation():
     with pytest.raises(InvalidSpec):
         MixingModel("convolutive", taps=())
     assert MixingModel("convolutive", taps=(np.eye(2), np.eye(2))).order == 1
+
+
+def _cubic(X):
+    return [CubicScore() for _ in range(X.shape[0])]
+
+
+# Every public function that takes signal data, called on X with otherwise
+# valid arguments sized to its channel count.
+SIGNAL_DATA_ENTRY_POINTS = {
+    "sample_covariance": lambda X: bsskit.sample_covariance(X),
+    "estimate_cum4": lambda X: bsskit.estimate_cum4(X),
+    "cumulant_matrix": lambda X: bsskit.cumulant_matrix(X, np.eye(X.shape[0])),
+    "kurtosis": lambda X: bsskit.kurtosis(X),
+    "whiten": lambda X: bsskit.whiten(X),
+    "amuse": lambda X: bsskit.amuse(X),
+    "fastica_step": lambda X: bsskit.fastica_step(OneUnitState(g=np.ones(X.shape[0])), X, CubicScore()),
+    "deflate_extract": lambda X: bsskit.deflate_extract(X, CubicScore(), count=1),
+    "cma": lambda X: bsskit.cma(X),
+    "donoho_contrast": lambda X: bsskit.donoho_contrast(np.ones(X.shape[0]), X),
+    "universal_criterion": lambda X: bsskit.universal_criterion(np.eye(X.shape[0]), X, _cubic(X)),
+    "batch_update_direction": lambda X: bsskit.batch_update_direction(np.eye(X.shape[0]), X, _cubic(X), "relative"),
+    "run_separation": lambda X: bsskit.run_separation(X, _cubic(X), AdaptConfig()),
+    "stability_check": lambda X: bsskit.stability_check(X, _cubic(X)),
+    "bussgang_residual": lambda X: bsskit.bussgang_residual(X, _cubic(X)),
+    "jade": lambda X: bsskit.jade(X),
+    "unimodal_equalizer": lambda X: bsskit.unimodal_equalizer(X, mu1=0.05, mu2=0.5, L=1),
+    "deterministic_cm": lambda X: bsskit.deterministic_cm(X),
+    "Separator.apply": lambda X: Separator(matrix=np.eye(X.shape[0])).apply(X),
+    "Whitener.apply": lambda X: Whitener(matrix=np.eye(X.shape[0]), detected_rank=X.shape[0],
+                                         eigenvalues=np.ones(X.shape[0]), mean=np.zeros(X.shape[0])).apply(X),
+}
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 50)], ids=["no_samples", "no_channels"])
+@pytest.mark.parametrize("call", SIGNAL_DATA_ENTRY_POINTS.values(), ids=SIGNAL_DATA_ENTRY_POINTS.keys())
+def test_every_entry_point_refuses_empty_signal_data(call, shape):
+    X = np.zeros(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch):
+            call(X)
