@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
-from .moments import _as_data
 from .scores import _apply_scores, make_score
 from .second_order import Separator, whiten
+from .signals import _as_data
 
 _DET_FLOOR = 1e-12
 _DIVERGENCE_NORM = 1e6
@@ -157,11 +157,10 @@ def run_separation(U, scores, cfg: AdaptConfig):
     the first sample update that overflows, or when G ends an epoch
     non-finite or above _DIVERGENCE_NORM in norm.
     """
-    X = _as_data(U)
     whitener = None
     if cfg.mode == "nonlinear_pca":
-        whitener, Ubar = whiten(X)
-        X = Ubar.data
+        whitener, U = whiten(U)
+    X = _as_data(U)
     N = X.shape[0]
     if len(scores) != N:
         raise DimensionMismatch(f"{len(scores)} scores for {N} channels")
@@ -194,7 +193,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
         if not np.all(np.isfinite(G)) or np.linalg.norm(G) > _DIVERGENCE_NORM:
             raise Diverged(f"G norm {np.linalg.norm(G):.3e} after an epoch")
         if record:
-            trajectory.append(universal_criterion(G, X, scores))
+            trajectory.append(universal_criterion(G, U, scores))
         if np.linalg.norm(G - G_start) < cfg.convergence_tolerance:
             break
     if whitener is not None:
@@ -214,7 +213,7 @@ def stability_check(Y, scores) -> StabilityReport:
     therefore required to clear 1 by _PAIR_MARGIN, and boundary cases
     classify as unstable.
     """
-    Y = _as_data(np.atleast_2d(Y))
+    Y = _as_data(Y)
     N = Y.shape[0]
     sigma2 = np.mean(Y * Y, axis=1)
     F = _apply_scores(scores, Y)
@@ -260,7 +259,7 @@ def bussgang_residual(Y, scores) -> float:
     Vanishes at separation when each source satisfies the Bussgang property
     under its score, and stays visibly nonzero at non-separating rotations.
     """
-    Y = _as_data(np.atleast_2d(Y))
+    Y = _as_data(Y)
     T = Y.shape[1]
     F = _apply_scores(scores, Y)
     return float(np.linalg.norm((F - Y) @ Y.T / T))

@@ -25,10 +25,9 @@ from .errors import (
     ZeroUpdate,
 )
 from .fixedpoint import _check_stop_rule
-from .moments import (Cumulant4Tensor, _as_data, _pair_products, cumulant_matrix, estimate_cum4,
-                      tucker_transform, unfold)
+from .moments import Cumulant4Tensor, _pair_products, cumulant_matrix, estimate_cum4, tucker_transform, unfold
 from .second_order import Separator, Whitener, fix_signs, whiten
-from .signals import SignalMatrix, window_stack
+from .signals import _as_data, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
 # windows per block of the unimodal equalizer's W recursion
@@ -364,10 +363,10 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
     return Rank1Init(g0=g0, eigenvalue=float(eigvals[0]), varsigma=varsigma, matrix=W)
 
 
-def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
+def _cum_unfolding_power(Z, iterations: int = 16):
     # Dominant-magnitude eigenmatrix of the cumulant 2x2 unfolding of
-    # sphered data, via iteration on the implicit operator
-    #   V -> cumulant_matrix(X, V),
+    # sphered data Z, via iteration on the implicit operator
+    #   V -> cumulant_matrix(Z, V),
     # which never materializes the K^4 tensor.  For i.i.d. finite-alphabet
     # window content the operator is -|c4| times the source-coordinate
     # diagonal of V, so its extremal eigenspace is massively degenerate and
@@ -375,7 +374,7 @@ def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
     # therefore followed by a matrix squaring: V @ V stays inside that
     # eigenspace while squaring the hidden diagonal profile, so the iterate
     # collapses onto a single rank-one vertex at double-exponential rate.
-    x0 = X[:, 0]
+    x0 = _as_data(Z)[:, 0]
     V = np.outer(x0, x0)  # anisotropic start; its hidden profile has a generic argmax
     norm = np.linalg.norm(V)
     if norm < 1e-15:
@@ -383,7 +382,7 @@ def _cum_unfolding_power(X: np.ndarray, iterations: int = 16):
     V /= norm
     lam = 0.0
     for _ in range(iterations):
-        W = cumulant_matrix(X, V)
+        W = cumulant_matrix(Z, V)
         W = (W + W.T) / 2.0
         norm = np.linalg.norm(W)
         if norm < 1e-15:
@@ -415,7 +414,7 @@ class UnimodalResult:
 
     def outputs(self, U) -> np.ndarray:
         """Equalizer output sequence for a raw sensor stream."""
-        windows = window_stack(U if isinstance(U, SignalMatrix) else SignalMatrix(U), self.window_length)
+        windows = window_stack(U, self.window_length)
         return self.g @ self.whitener.apply(windows).data
 
 
@@ -462,15 +461,13 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
         raise InvalidSpec("epochs must be at least 1")
     if init not in UNIMODAL_INITS:
         raise InvalidSpec(f"init must be one of {UNIMODAL_INITS}, got {init!r}")
-    stream = U if isinstance(U, SignalMatrix) else SignalMatrix(U)
-    windows = window_stack(stream, L)
-    whitener, sphered = whiten(windows)
+    whitener, sphered = whiten(window_stack(U, L))
     X = sphered.data
     K, T = X.shape
 
     lam0 = float("nan")
     if init == "fourth_order":
-        lam0, V = _cum_unfolding_power(X)
+        lam0, V = _cum_unfolding_power(sphered)
         # V = S S / |S S| for a symmetric S, so tr V = |S|^2 / |S S| >= 1
         W = V / np.trace(V)  # E[u^T W u] = tr(W) = 1 on sphered data
     else:
@@ -573,9 +570,11 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     gradient is taken on the block continue while they lower the error
     measured there, which is what ``residual`` reports.  With a unique LS
     solution both stages are no-ops.  ``max_refinements`` caps the steps
-    of both stages together.  Raises RankDeficient below the
-    binary-excitation rank 1 + N(N-1)/2.
+    of both stages together, and must be at least 0.  Raises RankDeficient
+    below the binary-excitation rank 1 + N(N-1)/2.
     """
+    if max_refinements < 0:
+        raise InvalidSpec(f"max_refinements must be at least 0, got {max_refinements}")
     X = _as_data(U)
     N, T = X.shape
     eps = np.finfo(float).eps

@@ -288,7 +288,7 @@ def _adaptive(m, params):
     scores = [make_score(score) for _ in range(m.A.channel_count)]
     sep, trajectory = run_separation(m.U, scores, AdaptConfig(**params))
     index = _index(m, sep.matrix)
-    verdict = bool(stability_check(sep.apply(m.U).data, scores).verdict)
+    verdict = bool(stability_check(sep.apply(m.U), scores).verdict)
     return index, len(trajectory) or None, verdict
 
 

@@ -12,9 +12,10 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
-from .moments import _as_data, _pair_gram, kurtosis
+from .moments import _pair_gram, kurtosis
 from .scores import CubicScore
 from .second_order import _RANK_TOLERANCE, Separator, fix_signs
+from .signals import _as_data
 
 _NORM_FLOOR = 1e-12
 # samples per block of a fastica_step pass: at N = 4 on one core a step takes
@@ -168,7 +169,7 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     _check_stop_rule(max_iterations, tolerance)
     moment_step = m2 = None
     rng = np.random.default_rng(seed)
-    rows = []
+    units = np.empty((count, N))
     for r in range(count):
         unit_score = score() if callable(score) else score
         if type(unit_score) is CubicScore and variant in ("newton", "fixed_point") and N <= _MOMENT_MAX_N:
@@ -177,24 +178,14 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
                 moment_step = _cubic_moment_step(gram, m2, newton=variant == "newton")
             step = moment_step
         else:
-            step = partial(fastica_step, U=X, score=unit_score, variant=variant)
-        R = np.array(rows).reshape(r, N)  # the units found so far
-        g = rng.standard_normal(N)
-        g = g - R.T @ (R @ g)
-        g = g / np.linalg.norm(g)
-        state = OneUnitState(g=g)
+            step = partial(fastica_step, U=U, score=unit_score, variant=variant)
+        state = OneUnitState(g=_deflated(rng.standard_normal(N), units, r))
         for _ in range(max_iterations):
             prev = state.g
             state = step(state)
-            g = state.g
-            if rows:
-                g = g - R.T @ (R @ g)
-                norm = np.linalg.norm(g)
-                if norm < _NORM_FLOOR:
-                    raise ZeroUpdate(f"unit {r} vanished after deflation")
-                g = fix_signs(g / norm)
-                state = OneUnitState(g=g, beta=state.beta, iteration=state.iteration)
-            if abs(float(g @ prev)) > 1.0 - tolerance:
+            if r:  # the step built state.g afresh, so it is deflated in place
+                state.g[:] = fix_signs(_deflated(state.g, units, r))
+            if abs(float(state.g @ prev)) > 1.0 - tolerance:
                 break
         else:
             raise NotConverged(f"unit {r} did not settle in {max_iterations} iterations", index=r)
@@ -202,8 +193,18 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
             m2 = X @ X.T / X.shape[1]
         if state.g @ m2 @ state.g < _RANK_TOLERANCE * np.linalg.eigvalsh(m2)[-1]:
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
-        rows.append(state.g)
-    return Separator(matrix=np.vstack(rows))
+        units[r] = state.g
+    return Separator(matrix=units)
+
+
+def _deflated(g: np.ndarray, units: np.ndarray, r: int) -> np.ndarray:
+    """Unit r's g without its components along the orthonormal units[:r] found so far, normalized."""
+    found = units[:r]
+    g = g - found.T @ (found @ g)
+    norm = np.linalg.norm(g)
+    if norm < _NORM_FLOOR:
+        raise ZeroUpdate(f"unit {r} vanished after deflation")
+    return g / norm
 
 
 def _modulus_error(y: float, step_size: float) -> float:

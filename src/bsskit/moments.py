@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, LagTooLarge
-from .signals import _checked_shape
+from .signals import _as_data
 
 _INV_PERMS4 = [tuple(np.argsort(perm)) for perm in itertools.permutations(range(4))]
 
@@ -25,11 +25,6 @@ _INV_PERMS4 = [tuple(np.argsort(perm)) for perm in itertools.permutations(range(
 _PAIR_BLOCK = 4096
 
 _VAR_FLOOR = 1e-12
-
-
-def _as_data(U) -> np.ndarray:
-    """Accept a SignalMatrix or a bare channels x samples array."""
-    return _checked_shape(np.asarray(getattr(U, "data", U), dtype=float))
 
 
 def _symmetrize4(values: np.ndarray) -> np.ndarray:
@@ -190,8 +185,10 @@ def cumulant_matrix(U, M) -> np.ndarray:
 
 def kurtosis(y) -> float:
     """Excess kurtosis of a single channel after standardization."""
-    y = _as_data(np.atleast_2d(y)).ravel()
-    y = y - y.mean()
+    X = _as_data(y)
+    if X.shape[0] != 1:
+        raise DimensionMismatch(f"kurtosis takes one channel, got {X.shape[0]}")
+    y = X[0] - X[0].mean()
     y2 = y * y
     var = float(np.mean(y2))
     if var <= _VAR_FLOOR:

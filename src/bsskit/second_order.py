@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec
-from .moments import _as_data, sample_covariance
-from .signals import SignalMatrix
+from .moments import sample_covariance
+from .signals import SignalMatrix, _as_data
 
 _RANK_TOLERANCE = 1e-9  # whiten's null-direction floor, relative to the largest eigenvalue
 

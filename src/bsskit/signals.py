@@ -19,7 +19,7 @@ SOURCE_KINDS = ("bpsk", "uniform", "laplace", "gaussian", "ar1")
 
 _AR_BURN_IN = 1000
 _AR_BLOCK = 64  # samples per block of the AR(1) filter
-_DRAW_SLICE = 8192  # samples per slice of the Laplace transform's temporaries
+_SLICE = 8192  # samples per slice of the Laplace transform's and the finiteness check's temporaries
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,17 @@ class SourceSpec:
             raise InvalidSpec("seed must be a nonnegative integer")
 
 
-def _checked_shape(arr: np.ndarray) -> np.ndarray:
+def _checked_signal(arr: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatch(f"signal data must be a 2-D array of at least 1 x 1, got shape {arr.shape}")
+    for start in range(0, arr.shape[1], _SLICE):
+        if not np.isfinite(arr[:, start:start + _SLICE]).all():
+            raise InvalidSpec("signal data contains non-finite entries")
     return arr
 
 
 def _frozen_signal(arr: np.ndarray) -> np.ndarray:
-    _checked_shape(arr)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSpec("signal data contains non-finite entries")
-    arr.setflags(write=False)
+    _checked_signal(arr).setflags(write=False)
     return arr
 
 
@@ -90,6 +90,14 @@ class SignalMatrix:
     @property
     def sample_count(self) -> int:
         return self.data.shape[1]
+
+
+def _as_data(U) -> np.ndarray:
+    """A SignalMatrix's data as built (checked then), or a bare array checked, read as one channel when 1-D."""
+    if isinstance(U, SignalMatrix):
+        return U.data
+    X = np.asarray(U, dtype=float)
+    return _checked_signal(X[None] if X.ndim == 1 else X)
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,9 @@ def _draw(spec: SourceSpec, row: np.ndarray, rng: np.random.Generator) -> None:
         b = 1.0 / math.sqrt(2.0)
         tiny = np.finfo(float).tiny
         rng.random(out=row)
-        for start in range(0, T, _DRAW_SLICE):
-            u = np.clip(row[start:start + _DRAW_SLICE], tiny, None)
-            row[start:start + _DRAW_SLICE] = np.where(
+        for start in range(0, T, _SLICE):
+            u = np.clip(row[start:start + _SLICE], tiny, None)
+            row[start:start + _SLICE] = np.where(
                 u < 0.5, b * np.log(2.0 * u), -b * np.log(np.clip(2.0 * (1.0 - u), tiny, None)))
     elif spec.kind == "gaussian":
         rng.standard_normal(out=row)
@@ -228,33 +236,33 @@ def generate_sources(specs, T: int) -> SignalMatrix:
     return SignalMatrix._adopt(out)
 
 
-def convolve_mimo(taps, A: SignalMatrix) -> SignalMatrix:
-    """FIR-filter the source matrix: u(n) = sum_k H_k a(n - k).
+def convolve_mimo(taps, A) -> SignalMatrix:
+    """FIR-filter the source matrix: u(n) = sum_k H_k a(n - k), taps as in MixingModel.
 
     Prehistory is zero, so the first ``order`` output samples are start-up
     transient; they are kept but flagged via ``transient_prefix``.
     """
-    taps = [np.asarray(Hk, dtype=float) for Hk in taps]
+    taps = MixingModel("convolutive", taps=taps).taps
+    X = _as_data(A)
     M, N = taps[0].shape
-    if N != A.channel_count:
-        raise DimensionMismatch(f"taps expect {N} sources, signal has {A.channel_count}")
-    T = A.sample_count
+    if N != X.shape[0]:
+        raise DimensionMismatch(f"taps expect {N} sources, signal has {X.shape[0]}")
+    T = X.shape[1]
     out = np.zeros((M, T))
-    for k, Hk in enumerate(taps):
-        if k >= T:
-            break
-        out[:, k:] += Hk @ A.data[:, : T - k]
+    for k, Hk in enumerate(taps[:T]):
+        out[:, k:] += Hk @ X[:, : T - k]
     return SignalMatrix._adopt(out, transient_prefix=len(taps) - 1)
 
 
-def mix(model: MixingModel, A: SignalMatrix) -> SignalMatrix:
+def mix(model: MixingModel, A) -> SignalMatrix:
     """Pass sources through a mixing model and return the sensor signals."""
     if model.variant == "convolutive":
         return convolve_mimo(model.taps, A)
+    X = _as_data(A)
     H = model.matrix
-    if H.shape[1] != A.channel_count:
-        raise DimensionMismatch(f"mixing matrix expects {H.shape[1]} sources, signal has {A.channel_count}")
-    U = H @ A.data
+    if H.shape[1] != X.shape[0]:
+        raise DimensionMismatch(f"mixing matrix expects {H.shape[1]} sources, signal has {X.shape[0]}")
+    U = H @ X
     if model.variant == "noisy" and model.noise_std > 0:
         rng = np.random.default_rng([model.noise_seed, 0x6E])
         U += model.noise_std * rng.standard_normal(U.shape)
@@ -262,27 +270,20 @@ def mix(model: MixingModel, A: SignalMatrix) -> SignalMatrix:
 
 
 def lift_convolutive(taps, L: int) -> np.ndarray:
-    """Block-Toeplitz lifting of an FIR channel to a static matrix.
+    """Block-Toeplitz lifting of FIR taps (as in MixingModel) to a static matrix.
 
     Stacking L consecutive sensor vectors gives a static model whose input
-    is the last L + order source vectors; the lifted matrix is
-    (M*L) x (N*(L+order)) with block row r carrying H_0 .. H_order starting
-    at block column r.
+    is the last L + order source vectors; the (M*L) x (N*(L+order)) lifted
+    matrix is sum_k kron(S_k, H_k), S_k the L x (L+order) identity shifted
+    by k: block row r carries H_0 .. H_order from block column r on.
     """
     if L < 1:
         raise InvalidSpec(f"window length must be positive, got {L}")
-    taps = [np.asarray(Hk, dtype=float) for Hk in taps]
-    M, N = taps[0].shape
-    order = len(taps) - 1
-    lifted = np.zeros((M * L, N * (L + order)))
-    for r in range(L):
-        for k, Hk in enumerate(taps):
-            c = r + k
-            lifted[r * M : (r + 1) * M, c * N : (c + 1) * N] = Hk
-    return lifted
+    taps = MixingModel("convolutive", taps=taps).taps
+    return sum(np.kron(np.eye(L, L + len(taps) - 1, k), Hk) for k, Hk in enumerate(taps))
 
 
-def window_stack(U: SignalMatrix, L: int) -> np.ndarray:
+def window_stack(U, L: int) -> np.ndarray:
     """Sliding windows of depth L, newest sample on top.
 
     Column n of the result is [u(n); u(n-1); ...; u(n-L+1)] for
@@ -290,11 +291,12 @@ def window_stack(U: SignalMatrix, L: int) -> np.ndarray:
     """
     if L < 1:
         raise InvalidSpec(f"window length must be positive, got {L}")
-    if L > U.sample_count:
+    X = _as_data(U)
+    M, T = X.shape
+    if L > T:
         raise DimensionMismatch("window length exceeds sample count")
-    M, T = U.data.shape
     cols = T - L + 1
     out = np.empty((M * L, cols))
     for d in range(L):
-        out[d * M : (d + 1) * M, :] = U.data[:, L - 1 - d : T - d]
+        out[d * M : (d + 1) * M, :] = X[:, L - 1 - d : T - d]
     return out

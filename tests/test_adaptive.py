@@ -8,6 +8,7 @@ import pytest
 from bsskit import (
     AdaptConfig,
     CubicScore,
+    DimensionMismatch,
     Diverged,
     InvalidSpec,
     MixingModel,
@@ -236,6 +237,11 @@ def test_plain_mode_matches_finite_difference_gradient():
             num[i, j] = (universal_criterion(Gp, X, scores)
                          - universal_criterion(Gm, X, scores)) / (2 * eps)
     assert np.max(np.abs(D - num)) / max(np.max(np.abs(num)), 1e-12) < 1e-5
+
+
+def test_run_separation_needs_one_score_per_channel():
+    with pytest.raises(DimensionMismatch):
+        run_separation(exact_bpsk_pair(), [CubicScore()], AdaptConfig())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point

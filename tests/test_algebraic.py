@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bsskit import (
     Cumulant4Tensor,
     DegenerateSpectrum,
+    DimensionMismatch,
     InvalidSpec,
     MixingModel,
     NotConverged,
@@ -508,6 +509,23 @@ def test_parafac_rejects_rank_zero():
         parafac_als(diag_tensor([-2.0, -1.2]), 0)
 
 
+def test_parafac_reconstructs_an_exact_rank_two_tensor():
+    C = tucker_transform(diag_tensor([-2.0, -1.2]), random_orthogonal(2, 50))
+    fit = parafac_als(C, 2)
+    assert np.allclose(fit.reconstruction(), C.values, atol=1e-8)
+
+
+def test_parafac_warm_starts_from_a_fit():
+    C = tucker_transform(diag_tensor([-2.0, -1.2]), random_orthogonal(2, 50))
+    fit = parafac_als(C, 2)
+    warm = parafac_als(C, 2, init=fit)
+    # started at the solution, the error settles within the first cycles
+    assert warm.converged and len(warm.error_trajectory) <= 3
+    assert np.allclose(warm.reconstruction(), C.values, atol=1e-8)
+    with pytest.raises(DimensionMismatch):
+        parafac_als(C, 2, init=parafac_als(C, 1))
+
+
 def test_parafac_error_never_increases():
     A = generate_sources([SourceSpec("laplace", seed=95 + k) for k in range(3)], 3_000)
     H = np.random.default_rng(51).standard_normal((3, 3))
@@ -766,6 +784,14 @@ def test_det_cm_gaussian_block_reports_large_residual():
 def test_det_cm_needs_enough_excitation():
     with pytest.raises(RankDeficient):
         deterministic_cm(np.ones((2, 10)))
+    with pytest.raises(RankDeficient):
+        deterministic_cm(np.zeros((2, 10)))  # no second moment at all
+
+
+def test_det_cm_refuses_a_negative_refinement_cap():
+    U = np.random.default_rng(61).standard_normal((2, 400))
+    with pytest.raises(InvalidSpec):
+        deterministic_cm(U, max_refinements=-4)
 
 
 @pytest.mark.parametrize("rows", [

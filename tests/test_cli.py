@@ -314,8 +314,9 @@ def _strict_json(line):
     ("algorithm = sea\nalgorithm.tolerance = 5\n", "InvalidSpec"),
     ("algorithm = rank1_sea\nalgorithm.tolerance = 3\n", "InvalidSpec"),
     ("algorithm = fastica\nalgorithm.max_iterations = 0\n", "InvalidSpec"),
+    ("algorithm = det_cm\nalgorithm.max_refinements = -4\n", "InvalidSpec"),
 ], ids=["jacobi_sweep_cap", "cma_diverging", "cma_no_epochs", "sea_tolerance_5", "rank1_sea_tolerance_3",
-        "fastica_no_iterations"])
+        "fastica_no_iterations", "det_cm_negative_refinements"])
 def test_capped_or_diverging_runs_are_never_ok(tmp_path, algorithm, status):
     out = tmp_path / "r.jsonl"
     assert main(["run", put(tmp_path, THREE_BPSK + algorithm), "--out", str(out)]) == 3

@@ -62,6 +62,12 @@ def test_index_for_uniform_one_percent_leakage():
     assert np.isclose(separation_index(S), -40.0, atol=1e-12)
 
 
+def test_index_counts_outputs_beyond_the_sources_as_leak():
+    S = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.1]])
+    # the third output is assigned no source: all of its power is leak
+    assert separation_index(S) == pytest.approx(-20.0, abs=1e-12)
+
+
 def test_index_invariant_under_output_reordering():
     rng = np.random.default_rng(71)
     S = np.eye(3) + 0.05 * rng.standard_normal((3, 3))

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from bsskit import (
     Cumulant4Tensor,
     DegenerateChannel,
+    DimensionMismatch,
     LagTooLarge,
+    SignalMatrix,
     SourceSpec,
     cumulant_matrix,
     edgeworth_pdf,
@@ -207,6 +209,13 @@ def test_kurtosis_values():
         assert abs(kurtosis(A.data[0]) - expect) < tol
     with pytest.raises(DegenerateChannel):
         kurtosis(np.zeros(64))
+
+
+def test_kurtosis_takes_one_channel():
+    Y = np.random.default_rng(8).standard_normal((3, 200))
+    with pytest.raises(DimensionMismatch):
+        kurtosis(Y[:2])  # two channels are not pooled into one
+    assert kurtosis(Y[0]) == kurtosis(Y[:1]) == kurtosis(SignalMatrix(Y[:1]))
 
 
 def test_tucker_identity_and_permutation():

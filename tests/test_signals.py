@@ -1,5 +1,6 @@
 """Source generation, mixing variants, and the block-Toeplitz lift."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import bsskit
 from bsskit import (
     AdaptConfig,
+    BssError,
     CubicScore,
     DimensionMismatch,
     InvalidSpec,
@@ -291,34 +293,42 @@ def test_mixing_model_validation():
     assert MixingModel("convolutive", taps=(np.eye(2), np.eye(2))).order == 1
 
 
+def _n(X):
+    # channel count of a bare array or of a SignalMatrix
+    return np.shape(getattr(X, "data", X))[0]
+
+
 def _cubic(X):
-    return [CubicScore() for _ in range(X.shape[0])]
+    return [CubicScore() for _ in range(_n(X))]
 
 
-# Every public function that takes signal data, called on X with otherwise
-# valid arguments sized to its channel count.
+# Every public function that takes signal data, called on X (a bare array or
+# a SignalMatrix) with otherwise valid arguments sized to its channel count.
 SIGNAL_DATA_ENTRY_POINTS = {
     "sample_covariance": lambda X: bsskit.sample_covariance(X),
     "estimate_cum4": lambda X: bsskit.estimate_cum4(X),
-    "cumulant_matrix": lambda X: bsskit.cumulant_matrix(X, np.eye(X.shape[0])),
+    "cumulant_matrix": lambda X: bsskit.cumulant_matrix(X, np.eye(_n(X))),
     "kurtosis": lambda X: bsskit.kurtosis(X),
     "whiten": lambda X: bsskit.whiten(X),
     "amuse": lambda X: bsskit.amuse(X),
-    "fastica_step": lambda X: bsskit.fastica_step(OneUnitState(g=np.ones(X.shape[0])), X, CubicScore()),
+    "fastica_step": lambda X: bsskit.fastica_step(OneUnitState(g=np.ones(_n(X))), X, CubicScore()),
     "deflate_extract": lambda X: bsskit.deflate_extract(X, CubicScore(), count=1),
     "cma": lambda X: bsskit.cma(X),
-    "donoho_contrast": lambda X: bsskit.donoho_contrast(np.ones(X.shape[0]), X),
-    "universal_criterion": lambda X: bsskit.universal_criterion(np.eye(X.shape[0]), X, _cubic(X)),
-    "batch_update_direction": lambda X: bsskit.batch_update_direction(np.eye(X.shape[0]), X, _cubic(X), "relative"),
+    "donoho_contrast": lambda X: bsskit.donoho_contrast(np.ones(_n(X)), X),
+    "universal_criterion": lambda X: bsskit.universal_criterion(np.eye(_n(X)), X, _cubic(X)),
+    "batch_update_direction": lambda X: bsskit.batch_update_direction(np.eye(_n(X)), X, _cubic(X), "relative"),
     "run_separation": lambda X: bsskit.run_separation(X, _cubic(X), AdaptConfig()),
     "stability_check": lambda X: bsskit.stability_check(X, _cubic(X)),
     "bussgang_residual": lambda X: bsskit.bussgang_residual(X, _cubic(X)),
     "jade": lambda X: bsskit.jade(X),
     "unimodal_equalizer": lambda X: bsskit.unimodal_equalizer(X, mu1=0.05, mu2=0.5, L=1),
     "deterministic_cm": lambda X: bsskit.deterministic_cm(X),
-    "Separator.apply": lambda X: Separator(matrix=np.eye(X.shape[0])).apply(X),
-    "Whitener.apply": lambda X: Whitener(matrix=np.eye(X.shape[0]), detected_rank=X.shape[0],
-                                         eigenvalues=np.ones(X.shape[0]), mean=np.zeros(X.shape[0])).apply(X),
+    "Separator.apply": lambda X: Separator(matrix=np.eye(_n(X))).apply(X),
+    "Whitener.apply": lambda X: Whitener(matrix=np.eye(_n(X)), detected_rank=_n(X),
+                                         eigenvalues=np.ones(_n(X)), mean=np.zeros(_n(X))).apply(X),
+    "mix": lambda X: bsskit.mix(MixingModel("static", matrix=np.eye(_n(X))), X),
+    "convolve_mimo": lambda X: bsskit.convolve_mimo((np.eye(_n(X)), 0.5 * np.eye(_n(X))), X),
+    "window_stack": lambda X: bsskit.window_stack(X, 2),
 }
 
 
@@ -330,3 +340,87 @@ def test_every_entry_point_refuses_empty_signal_data(call, shape):
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatch):
             call(X)
+
+
+def signal_data():
+    # 3 x 200 data on which every entry point returns a result: AR(1) sources
+    # of distinct poles, so that amuse's lag eigenvalues are apart, and a
+    # uniform one, under a fixed rotation
+    A = generate_sources([SourceSpec("ar1", ar_coefficient=0.8, seed=1), SourceSpec("uniform", seed=2),
+                          SourceSpec("ar1", ar_coefficient=-0.7, seed=3)], 200)
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+    return Q @ A.data
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", SIGNAL_DATA_ENTRY_POINTS.values(), ids=SIGNAL_DATA_ENTRY_POINTS.keys())
+def test_every_entry_point_refuses_non_finite_signal_data(call, bad):
+    X = signal_data()
+    X[1, 57] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="non-finite"):
+            call(X)
+
+
+def _leaves(value):
+    # every array and scalar a result holds, in a form that compares bit for bit
+    if dataclasses.is_dataclass(value):
+        return [leaf for f in dataclasses.fields(value) for leaf in _leaves(getattr(value, f.name))]
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    if value is None or isinstance(value, (str, bool, int, float)):
+        return [repr(value)]
+    arr = np.asarray(value)
+    return [(arr.dtype.str, arr.shape, arr.tobytes())]
+
+
+def _outcome(call, X):
+    try:
+        return _leaves(call(X))
+    except BssError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("call", SIGNAL_DATA_ENTRY_POINTS.values(), ids=SIGNAL_DATA_ENTRY_POINTS.keys())
+def test_every_entry_point_reads_a_bare_array_as_its_signal_matrix(call, channels):
+    X = signal_data()[:channels]
+    assert _outcome(call, X) == _outcome(call, SignalMatrix(X))
+
+
+def reference_lift(taps, L):
+    # the hand-indexed block loop: block row r holds H_k at block column r + k
+    M, N = taps[0].shape
+    lifted = np.zeros((M * L, N * (L + len(taps) - 1)))
+    for r in range(L):
+        for k, Hk in enumerate(taps):
+            lifted[r * M:(r + 1) * M, (r + k) * N:(r + k + 1) * N] = Hk
+    return lifted
+
+
+@pytest.mark.parametrize("shape, order, L", [((4, 2), 29, 20), ((2, 2), 0, 3), ((1, 1), 1, 2), ((3, 2), 3, 5)])
+def test_lift_equals_the_block_loop(shape, order, L):
+    taps = np.random.default_rng(order).standard_normal((order + 1, *shape))
+    assert np.array_equal(lift_convolutive(taps, L), reference_lift(taps, L))
+
+
+@pytest.mark.parametrize("taps, error", [
+    ((), InvalidSpec),
+    ((np.eye(2), np.ones((2, 3))), DimensionMismatch),
+    ((np.ones(2),), DimensionMismatch),
+], ids=["no_taps", "mixed_shapes", "one_d_tap"])
+def test_taps_follow_the_mixing_model_rule(taps, error):
+    A = generate_sources([SourceSpec("bpsk", seed=k) for k in range(2)], 16)
+    with pytest.raises(error):
+        convolve_mimo(taps, A)
+    with pytest.raises(error):
+        lift_convolutive(taps, 3)
+
+
+def test_convolution_with_more_taps_than_samples():
+    A = SignalMatrix(np.array([[1.0, 2.0, 3.0]]))
+    U = convolve_mimo([np.array([[2.0 ** k]]) for k in range(5)], A)
+    # u(n) = sum over k <= n of 2^k a(n - k); taps 3 and 4 never reach a sample
+    assert np.array_equal(U.data, [[1.0, 4.0, 11.0]])
+    assert U.transient_prefix == 4
