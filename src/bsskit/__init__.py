@@ -71,7 +71,7 @@ from .moments import (
     unfold,
 )
 from .scores import CubicScore, ScoreFunction, SignSwitchingScore, TanhScore, make_score
-from .second_order import Separator, Whitener, amuse, fix_signs, whiten
+from .second_order import Separator, Whitener, amuse, fit_whitener, fix_signs, whiten
 from .signals import (
     MixingModel,
     SignalMatrix,

@@ -590,7 +590,7 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     n = iu.size
     scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
     r_factor = np.zeros((n + 1, n + 1))
-    for P in _pair_products(X, sphere):
+    for P in _pair_products(X, transform=sphere):
         rows = np.ones((P.shape[1], n + 1))
         rows[:, :n] = P.T * scale
         r_factor = np.linalg.qr(np.vstack((r_factor, rows)), mode="r")

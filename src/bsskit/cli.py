@@ -42,14 +42,14 @@ from dataclasses import replace
 import numpy as np
 
 from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
-from .algebraic import (UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init,
+from .algebraic import (UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade_rotation, rank1_init,
                         unimodal_equalizer)
 from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
 from .fixedpoint import VARIANTS, cma, deflate_extract
 from .metrics import _clamped_db, separation_index
 from .moments import estimate_cum4
 from .scores import SCORE_KINDS, make_score
-from .second_order import amuse, whiten
+from .second_order import amuse, fit_whitener, whiten
 from .signals import SOURCE_KINDS, MixingModel, SourceSpec, generate_sources, mix
 
 # numpy refuses an array whose byte count exceeds the largest intp
@@ -294,19 +294,20 @@ def _adaptive(m, params):
 
 def _fastica(m, params):
     score = params.pop("score", "cubic")
-    whitener, Z = whiten(m.U)
-    sep = deflate_extract(Z, lambda: make_score(score), count=Z.channel_count, seed=m.seed, **params)
-    return _index(m, sep.matrix @ whitener.matrix), None, None
+    whitener = fit_whitener(m.U)
+    sep = deflate_extract(m.U, lambda: make_score(score), count=whitener.detected_rank, seed=m.seed,
+                          whitener=whitener, **params)
+    return _index(m, sep.matrix), None, None
 
 
 def _jade(m, params):
-    whitener, Z = whiten(m.U)
-    return _index(m, jade(Z, whitener=whitener).matrix), None, None
+    whitener = fit_whitener(m.U)
+    return _index(m, jade_rotation(estimate_cum4(m.U, whitener=whitener)).T @ whitener.matrix), None, None
 
 
 def _jacobi(m, params):
-    whitener, Z = whiten(m.U)
-    Q = jacobi_diagonalize(estimate_cum4(Z), **params)
+    whitener = fit_whitener(m.U)
+    Q = jacobi_diagonalize(estimate_cum4(m.U, whitener=whitener), **params)
     return _index(m, Q @ whitener.matrix), None, None
 
 
@@ -317,8 +318,8 @@ def _cma(m, params):
 
 
 def _rank1_sea(m, params):
-    whitener, Z = whiten(m.U)
-    C = estimate_cum4(Z)
+    whitener = fit_whitener(m.U)
+    C = estimate_cum4(m.U, whitener=whitener)
     _, g = hopm(C, init=rank1_init(C).g0, **params)
     return _index(m, g @ whitener.matrix), None, None
 

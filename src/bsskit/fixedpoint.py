@@ -1,7 +1,7 @@
 """One-unit extraction: fixed-point iterations, deflation, CMA steps.
 
-All routines here work on sphered data and a single demixing vector g; full
-separators are assembled by deflating one unit at a time.
+All routines here work in sphered coordinates on a single demixing vector g;
+full separators are assembled by deflating one unit at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
-from .moments import _pair_gram, kurtosis
+from .moments import _covariance, _pair_gram, kurtosis
 from .scores import CubicScore
 from .second_order import _RANK_TOLERANCE, Separator, fix_signs
 from .signals import _as_data
@@ -47,7 +47,8 @@ class OneUnitState:
     iteration: int = 0
 
 
-def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: float | None = None) -> OneUnitState:
+def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: float | None = None,
+                 whitener=None) -> OneUnitState:
     """One batch update of the demixing vector.
 
     newton:      g+ = E[u f(y)] - E[f'(y)] g
@@ -56,7 +57,9 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
 
     The result is normalized and sign-fixed (largest-magnitude entry
     positive).  With mu = 1 / (beta - E[f'(y)]) the gradient variant
-    reproduces the newton direction exactly.
+    reproduces the newton direction exactly.  With a fitted ``whitener``
+    (W, m), u = W (x - m) is read from raw data U unbuilt: y = a.x - a.m
+    with a = W^T g, and E[u f(y)] = W (E[x f(y)] - m E[f(y)]).
 
     The expectations are summed over blocks of _STEP_BLOCK samples in one
     pass, so no array as long as the data is built, and f' is evaluated
@@ -68,27 +71,32 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     if variant == "gradient" and mu is None:
         raise InvalidSpec("gradient variant needs a step size mu")
     X = _as_data(U)
-    N, T = X.shape
+    M, T = X.shape
+    W, m = (np.eye(M), np.zeros(M)) if whitener is None else whitener._affine(X)
     g = np.asarray(state.g, dtype=float)
-    if g.shape != (N,):
-        raise DimensionMismatch(f"g has shape {g.shape} for {N} channels")
+    if g.shape != (len(W),):
+        raise DimensionMismatch(f"g has shape {g.shape} for {len(W)} channels")
+    a, shift = W.T @ g, float(g @ (W @ m))
     y = None
     if score.keeps_state:
-        y = g @ X
+        y = a @ X
+        y -= shift
         score.update(y)
     newton = variant == "newton"
-    uf, yf, fp = np.zeros(N), 0.0, 0.0
+    xf, fs, yf, fp = np.zeros(M), 0.0, 0.0, 0.0
+    ones = np.ones(min(T, _STEP_BLOCK))  # a block's sums as BLAS dots, which beat np.sum here
     for start in range(0, T, _STEP_BLOCK):
         X_b = X[:, start:start + _STEP_BLOCK]
-        y_b = g @ X_b if y is None else y[start:start + _STEP_BLOCK]
+        y_b = a @ X_b - shift if y is None else y[start:start + _STEP_BLOCK]
         if newton:
             f_b, fp_b = score.f_and_fprime(y_b)
-            fp += float(np.sum(fp_b))
+            fp += float(ones[:len(fp_b)] @ fp_b)
         else:
             f_b = score.f(y_b)
-        uf += X_b @ f_b
+        xf += X_b @ f_b
+        fs += float(ones[:len(f_b)] @ f_b)
         yf += float(y_b @ f_b)
-    euf = uf / T
+    euf = W @ (xf / T - m * (fs / T))
     beta = yf / T
     if newton:
         g_plus = euf - (fp / T) * g
@@ -143,7 +151,7 @@ def _check_stop_rule(max_iterations: int, tolerance: float):
 
 
 def deflate_extract(U, score, count: int, variant: str = "newton", max_iterations: int = 200,
-                    tolerance: float = 1e-10, seed: int = 0) -> Separator:
+                    tolerance: float = 1e-10, seed: int = 0, whitener=None) -> Separator:
     """Extract ``count`` units sequentially with Gram-Schmidt deflation.
 
     ``score`` is either a ScoreFunction instance (shared across units) or a
@@ -155,7 +163,9 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     fixed_point variant, on at most _MOMENT_MAX_N channels, runs on the
     fourth-moment Gram: the data are read once for all such units, and each
     step is an O(N^4) contraction (see _cubic_moment_step).  Every other
-    unit streams the data through fastica_step on each step.
+    unit streams the data through fastica_step on each step.  With a fitted
+    ``whitener``, U is raw data read through it as fastica_step reads it,
+    count is at most its detected_rank, and the result applies to U.
 
     Raises NotConverged with the failing row index when a unit stalls, and
     RankDeficient when a settled unit's output power E[y^2] falls below
@@ -163,7 +173,8 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     eigenvalue: the unit then lies in the data's null space.
     """
     X = _as_data(U)
-    N = X.shape[0]
+    W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
+    N = len(W)
     if not (1 <= count <= N):
         raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
     _check_stop_rule(max_iterations, tolerance)
@@ -174,11 +185,11 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
         unit_score = score() if callable(score) else score
         if type(unit_score) is CubicScore and variant in ("newton", "fixed_point") and N <= _MOMENT_MAX_N:
             if moment_step is None:
-                gram, m2 = _pair_gram(X)
+                gram, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
                 moment_step = _cubic_moment_step(gram, m2, newton=variant == "newton")
             step = moment_step
         else:
-            step = partial(fastica_step, U=U, score=unit_score, variant=variant)
+            step = partial(fastica_step, U=U, score=unit_score, variant=variant, whitener=whitener)
         state = OneUnitState(g=_deflated(rng.standard_normal(N), units, r))
         for _ in range(max_iterations):
             prev = state.g
@@ -190,11 +201,11 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
         else:
             raise NotConverged(f"unit {r} did not settle in {max_iterations} iterations", index=r)
         if m2 is None:  # only streamed units so far: one pass for E[u u^T]
-            m2 = X @ X.T / X.shape[1]
+            m2 = W @ _covariance(X, m) @ W.T
         if state.g @ m2 @ state.g < _RANK_TOLERANCE * np.linalg.eigvalsh(m2)[-1]:
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
         units[r] = state.g
-    return Separator(matrix=units)
+    return Separator(matrix=units @ W, whitener=whitener)
 
 
 def _deflated(g: np.ndarray, units: np.ndarray, r: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec
-from .moments import sample_covariance
+from .moments import _covariance, sample_covariance
 from .signals import SignalMatrix, _as_data
 
 _RANK_TOLERANCE = 1e-9  # whiten's null-direction floor, relative to the largest eigenvalue
@@ -55,9 +55,12 @@ class Whitener:
 
     def apply(self, U) -> SignalMatrix:
         X = _as_data(U)
+        return SignalMatrix._adopt(self._affine(X)[0] @ (X - self.mean[:, None]))
+
+    def _affine(self, X: np.ndarray):  # (T_w, mean), once X has the channels the whitener was fitted on
         if X.shape[0] != self.mean.size:
             raise DimensionMismatch(f"whitener expects {self.mean.size} channels, signal has {X.shape[0]}")
-        return SignalMatrix._adopt(self.matrix @ (X - self.mean[:, None]))
+        return self.matrix, self.mean
 
 
 @dataclass(frozen=True)
@@ -80,28 +83,27 @@ class Separator:
         return SignalMatrix._adopt(self.matrix @ X)
 
 
-def whiten(U):
-    """Fit a sphering transform and return it with the sphered data.
+def fit_whitener(U) -> Whitener:
+    """Fit a sphering transform to U without applying it or copying U.
 
-    Eigenvalues below _RANK_TOLERANCE times the largest are treated as null
-    directions and dropped, so the output may have fewer channels than the
-    input.
-
-    Returns
-    -------
-    (Whitener, SignalMatrix)
+    The covariance is sample_covariance(U, 0).  Eigenvalues below _RANK_TOLERANCE
+    times the largest are null directions, which the transform's rows leave out.
     """
     X = _as_data(U)
     mean = X.mean(axis=1)
-    Xc = X - mean[:, None]
-    eigvals, eigvecs = _sorted_eigh(Xc @ Xc.T / X.shape[1])  # sample_covariance(X, 0), from Xc
+    eigvals, eigvecs = _sorted_eigh(_covariance(X, mean))  # sample_covariance(X, 0)
     eigvals = np.clip(eigvals, 0.0, None)
     if eigvals[0] <= 0.0:
         raise DegenerateInput("all covariance eigenvalues vanish")
     rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
     T_w = eigvecs[:, :rank].T / np.sqrt(eigvals[:rank])[:, None]
-    w = Whitener(matrix=T_w, detected_rank=rank, eigenvalues=eigvals, mean=mean)
-    return w, SignalMatrix._adopt(T_w @ Xc)
+    return Whitener(matrix=T_w, detected_rank=rank, eigenvalues=eigvals, mean=mean)
+
+
+def whiten(U):
+    """fit_whitener(U) with the sphered data it gives: (Whitener, SignalMatrix)."""
+    w = fit_whitener(U)
+    return w, w.apply(U)
 
 
 def amuse(U, lag: int = 1, gap_tolerance: float = 0.05) -> Separator:
@@ -117,8 +119,8 @@ def amuse(U, lag: int = 1, gap_tolerance: float = 0.05) -> Separator:
     """
     if lag < 1:
         raise InvalidSpec(f"amuse needs lag >= 1, got {lag}")
-    whitener, Ubar = whiten(U)
-    eigvals, Q = _sorted_eigh(sample_covariance(Ubar, lag).matrix)
+    whitener = fit_whitener(U)  # then the lagged covariance of whitener.apply(U), read from U
+    eigvals, Q = _sorted_eigh(whitener.matrix @ sample_covariance(U, lag).matrix @ whitener.matrix.T)
     gaps = np.abs(np.diff(eigvals))
     if gaps.size and float(gaps.min()) <= gap_tolerance:
         worst = int(np.argmin(gaps))

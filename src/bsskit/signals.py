@@ -126,8 +126,8 @@ class MixingModel:
             if H.ndim != 2:
                 raise DimensionMismatch("mixing matrix must be 2-D")
             object.__setattr__(self, "matrix", H)
-            if self.variant == "noisy" and self.noise_std < 0:
-                raise InvalidSpec("noise_std must be nonnegative")
+            if self.variant == "noisy" and not 0.0 <= self.noise_std < math.inf:
+                raise InvalidSpec(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         else:
             taps = tuple(np.array(Hk, dtype=float) for Hk in self.taps)
             if not taps:
@@ -136,6 +136,8 @@ class MixingModel:
             if len(shape) != 2 or any(Hk.shape != shape for Hk in taps):
                 raise DimensionMismatch("all taps must share one M x N shape")
             object.__setattr__(self, "taps", taps)
+        if not all(np.isfinite(H).all() for H in (self.taps if self.variant == "convolutive" else (self.matrix,))):
+            raise InvalidSpec(f"{self.variant} mixing values must be finite")
 
     @property
     def source_count(self) -> int:

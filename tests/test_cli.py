@@ -12,19 +12,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bsskit
-from bsskit import SourceSpec, separation_index
+from bsskit import (SourceSpec, deflate_extract, estimate_cum4, hopm, jacobi_diagonalize, jade, make_score,
+                    rank1_init, sample_covariance, separation_index, whiten)
 from bsskit.cli import (
     ALGORITHMS,
     MIXINGS,
     ConfigError,
+    _index,
+    _mixture,
     canonical_text,
     main,
     parse_scenario,
     read_signals,
+    run_experiment,
     scenario_id,
     validate_scenario,
     write_signals,
 )
+from bsskit.second_order import _sorted_eigh
 
 SRC_DIR = os.path.dirname(os.path.dirname(bsskit.__file__))
 README = os.path.join(os.path.dirname(SRC_DIR), "README.md")
@@ -491,6 +496,9 @@ CANNOT_RUN = {
         ORTHOGONAL, ["--param", "source.2.ar_coefficient", "--values", "0.5,1.5"]),
     "negative_noise_std": (
         _swap(NOISY, "= 0.1", "= -1"), NOISY, ["--param", "mixing.noise_std", "--values", "0.1,-1"]),
+    "nan_in_the_matrix": (_swap(STATIC, "1 0.3 ; 0.2 1", "nan 0 ; 0 1"), None, SAMPLES),
+    "inf_in_a_noisy_matrix": (_swap(NOISY, "1 0.3 ; 0.2 1", "1 0.3 ; 0.2 inf"), None, SAMPLES),
+    "inf_in_a_tap": (FIR_TWO_BPSK + "mixing.tap.1 = 0 -inf ; 0 0\n", None, SAMPLES),
     "matrix_of_three_columns_for_two_sources": (
         _swap(STATIC, "1 0.3 ; 0.2 1", "1 0 0 ; 0 1 0"), None, SAMPLES),
     "tap_of_three_columns_for_two_sources": (
@@ -583,6 +591,46 @@ def test_a_diverging_adaptive_run_stops_without_warnings(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
     assert (run.returncode, run.stderr) == (3, "")
     assert [rec["status"] for rec in map(_strict_json, run.stdout.splitlines())] == ["Diverged", "Diverged"]
+
+
+def whiten_then_solve(m, algorithm, params):
+    # the adapters as they read before the fold: whiten m.U, then solve on the sphered copy
+    whitener, Z = whiten(m.U)
+    if algorithm == "amuse":
+        return _sorted_eigh(sample_covariance(Z, 1).matrix)[1].T @ whitener.matrix
+    if algorithm in ("fastica", "sea"):
+        score = params.get("score", "cubic")
+        sep = deflate_extract(Z, lambda: make_score(score), count=Z.channel_count, seed=m.seed)
+        return sep.matrix @ whitener.matrix
+    if algorithm == "jade":
+        return jade(Z, whitener).matrix
+    C = estimate_cum4(Z)
+    if algorithm == "jacobi":
+        return jacobi_diagonalize(C) @ whitener.matrix
+    return hopm(C, init=rank1_init(C).g0)[1] @ whitener.matrix  # rank1_sea
+
+
+def three_sources(kind):
+    lines = [f"source.{i}.kind = {kind}\n" for i in (1, 2, 3)]
+    if kind == "ar1":
+        lines = [line + f"source.{i}.ar_coefficient = {rho}\n"
+                 for i, line, rho in zip((1, 2, 3), lines, (0.9, 0.4, -0.5))]
+    return "".join(lines) + "samples = 5000\nmixing = random_condition(10)\nseed = 11\nrepetitions = 2\n"
+
+
+@pytest.mark.parametrize("algorithm, kind, params", [
+    ("amuse", "ar1", {}), ("jade", "uniform", {}), ("jacobi", "uniform", {}), ("rank1_sea", "uniform", {}),
+    ("sea", "uniform", {}), ("fastica", "uniform", {}), ("fastica", "laplace", {"score": "tanh"}),
+], ids=["amuse", "jade", "jacobi", "rank1_sea", "sea", "fastica_cubic", "fastica_tanh"])
+def test_records_match_whitening_then_solving(algorithm, kind, params):
+    text = three_sources(kind) + f"algorithm = {algorithm}\n"
+    text += "".join(f"algorithm.{key} = {value}\n" for key, value in params.items())
+    scenario = parse_scenario(text)
+    specs = validate_scenario(scenario)
+    for rep, record in enumerate(run_experiment(scenario, specs)):
+        m = _mixture(scenario, specs, rep)
+        assert (record["status"], record["iters"]) == ("ok", None)  # the reference's: it raises nothing
+        assert abs(record["index_db"] - _index(m, whiten_then_solve(m, algorithm, params))) < 1e-9
 
 
 @pytest.mark.parametrize("literal", ["1 2 ; 3", ";", "", "1 x ; 2 3"],

@@ -191,7 +191,7 @@ def test_cum4_never_builds_a_pair_product_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * X.nbytes
+    assert peak < 0.25 * X.nbytes
 
 
 def test_tensor_requires_hypercube_and_finite():

@@ -293,6 +293,18 @@ def test_mixing_model_validation():
     assert MixingModel("convolutive", taps=(np.eye(2), np.eye(2))).order == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mixing_model_refuses_non_finite_values(bad):
+    H = np.array([[bad, 0.0], [0.0, 1.0]])
+    for model in (lambda: MixingModel("static", matrix=H),
+                  lambda: MixingModel("noisy", matrix=H, noise_std=0.1),
+                  lambda: MixingModel("noisy", matrix=np.eye(2), noise_std=abs(bad)),
+                  lambda: MixingModel("convolutive", taps=(np.eye(2), H)),
+                  lambda: lift_convolutive((np.eye(2), H), 3)):
+        with pytest.raises(InvalidSpec):
+            model()
+
+
 def _n(X):
     # channel count of a bare array or of a SignalMatrix
     return np.shape(getattr(X, "data", X))[0]
