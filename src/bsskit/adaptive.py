@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
-from .scores import _apply_scores, make_score
+from .scores import _apply_scores, _score_call, make_score
 from .second_order import Separator, whiten
 from .signals import _as_data
 
@@ -88,25 +88,29 @@ def universal_criterion(G, U, scores) -> float:
     return float(np.log(abs(det))) + total
 
 
-def _direction(G, X, Y, scores, mode, g_scores=None):
-    """Each rule's update direction averaged over the columns of X, Y = G X; for
-    one column it is the per-sample direction (F @ Y.T is then f(y) y^T)."""
+def _direction(G, X, Y, mode, f, g=None):
+    """Each rule's direction averaged over the columns of X (Y = G X; f, g from _resolve),
+    so one column gives the per-sample one; .dot, as @'s dispatch costs more at N <= 8."""
     T = X.shape[1]
-    F = _apply_scores(scores, Y)
+    F = f(Y)
     if mode == "plain":
         det = np.linalg.det(G)
         if abs(det) < _DET_FLOOR:
             raise SingularG(f"|det G| = {abs(det):.3e}; plain update undefined")
-        return np.linalg.inv(G).T - F @ X.T / T
+        return np.linalg.inv(G).T - F.dot(X.T) / T
     if mode == "relative":
-        return G - F @ (Y.T @ G) / T
+        return G - F.dot(Y.T.dot(G)) / T
     if mode == "anti_hebbian":
-        if g_scores is None:
+        if g is None:
             raise InvalidSpec("anti_hebbian mode needs the second score family")
-        return G - F @ (_apply_scores(g_scores, Y).T @ G) / T
+        return G - F.dot(g(Y).T.dot(G)) / T
     if mode == "nonlinear_pca":
-        return F @ (X - G.T @ F).T / T
+        return F.dot((X - G.T.dot(F)).T) / T
     raise InvalidSpec(f"no update direction for mode {mode!r}")
+
+
+def _resolve(scores, g_scores, N):  # _direction's f and g for N channels; g is None without g_scores
+    return _score_call(scores, "f", N), None if g_scores is None else _score_call(g_scores, "f", N)
 
 
 def _polar(G):
@@ -124,7 +128,7 @@ def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):
     """
     G = np.asarray(G, dtype=float)
     u = np.asarray(u, dtype=float).reshape(-1, 1)
-    G = G + cfg.step_size * _direction(G, u, G @ u, scores, cfg.mode, g_scores)
+    G = G + cfg.step_size * _direction(G, u, G.dot(u), cfg.mode, *_resolve(scores, g_scores, G.shape[0]))
     return _polar(G) if cfg.mode == "nonlinear_pca" else G
 
 
@@ -144,7 +148,7 @@ def batch_update_direction(G, U, scores, mode: str, g_scores=None):
     """
     G = np.asarray(G, dtype=float)
     X = _as_data(U)
-    return _direction(G, X, G @ X, scores, mode, g_scores)
+    return _direction(G, X, G @ X, mode, *_resolve(scores, g_scores, X.shape[0]))
 
 
 def run_separation(U, scores, cfg: AdaptConfig):
@@ -162,16 +166,13 @@ def run_separation(U, scores, cfg: AdaptConfig):
         whitener, U = whiten(U)
     X = _as_data(U)
     N = X.shape[0]
-    if len(scores) != N:
-        raise DimensionMismatch(f"{len(scores)} scores for {N} channels")
+    g_scores = [make_score(_ANTI_HEBBIAN_SCORE) for _ in range(N)] if cfg.mode == "anti_hebbian" else None
+    f, g = _resolve(scores, g_scores, N)  # once per run; this checks the channel count
     if cfg.init == "identity":
         G = np.eye(N)
     else:
         rng = np.random.default_rng(cfg.init_seed)
         G, _ = np.linalg.qr(rng.standard_normal((N, N)))
-    g_scores = None
-    if cfg.mode == "anti_hebbian":
-        g_scores = [make_score(_ANTI_HEBBIAN_SCORE) for _ in range(N)]
 
     # the scores that keep state see each output sample before the update
     tracking = [(i, s) for i, s in enumerate(scores) if s.keeps_state]
@@ -182,10 +183,10 @@ def run_separation(U, scores, cfg: AdaptConfig):
         try:  # a diverging run stops at its first overflow
             with np.errstate(over="raise", invalid="raise"):
                 for u in X.T[:, :, None]:  # each sample as an N x 1 block
-                    y = G @ u
+                    y = G.dot(u)
                     for i, s in tracking:
                         s.update(y[i])
-                    G = G + cfg.step_size * _direction(G, u, y, scores, cfg.mode, g_scores)
+                    G = G + cfg.step_size * _direction(G, u, y, cfg.mode, f, g)
                     if cfg.mode == "nonlinear_pca":
                         G = _polar(G)
         except FloatingPointError as exc:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrum,
+    Diverged,
     DimensionMismatch,
     InvalidSpec,
     NotConverged,
@@ -32,6 +33,7 @@ from .signals import _as_data, window_stack
 UNIMODAL_INITS = ("fourth_order", "zero")
 # windows per block of the unimodal equalizer's W recursion
 _UNIMODAL_BLOCK = 64
+_G_RANGE = np.finfo(float).tiny ** np.array([0.5, -0.5])  # norms of g whose squares are normal
 
 
 def _pair_coefficients(t0, t1, t2, t3, t4):
@@ -446,13 +448,14 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
         (I + diag(gain) L) c = gain * (1 - diag(X_b^T W_b X_b)),
         L_ts = (u_s^T u_t)^2 for s < t and 0 otherwise,
 
-    and W_{b+1} = W_b + X_b diag(c) X_b^T is one GEMM.  g still steps once
-    per window, on the W that includes that window's update, in the factored
-    form g + mu2 W g = [I + mu2 W_b | mu2 X_b diag(c)] [g; X_b^T g] with the
-    block's columns cut off after window t.  The block GEMM rounds the two
-    triangles of W apart, so W's symmetry is no longer exact by
-    construction: max_w_asymmetry reports the true max |W - W^T|, measured
-    at every block end.  max_g_norm_dev is still taken over every window.
+    and W_{b+1} = W_b + X_b diag(c) X_b^T is one GEMM.  g steps once per
+    window, unnormalized, on the W with that window's update, as [I + mu2 W_b |
+    mu2 X_b diag(c)] [g; X_b^T g] cut off after window t, and the block's g
+    are normalized once at its end: ZeroUpdate if a window left g below 1e-12
+    of its norm, Diverged if g's squared norm left the normal floats.
+    max_g_norm_dev is the largest | ||g|| - 1 | of the normalized g.  The block
+    GEMM rounds W's triangles apart: max_w_asymmetry is the true max
+    |W - W^T|, measured at every block end.
     """
     # mu2 = 0 is allowed: it freezes g and leaves only the W fit running
     if mu1 <= 0 or mu2 < 0:
@@ -478,7 +481,7 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     eye = np.eye(K)
     Z = np.empty((K + B, K))  # [I; X_b^T]
     Z[:K] = eye
-    G = np.empty((B, K))  # normalized g after each window of the block
+    G = np.empty((B, K))  # g after each window of the block, normalized at the block's end
     # window t of a block reads the first K + t + 1 columns of A and rows of
     # Z; Fortran order keeps those column slices contiguous for ndarray.dot
     steps = [(A[:, :K + t + 1], Z[:K + t + 1], G[t]) for t in range(B)]
@@ -502,15 +505,16 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
             np.multiply(Xb, mu2 * c, out=A[:, K:K + m])
             Z[K:K + m] = Xb.T
             for a, z, row in steps[:m]:
-                gp = a.dot(z.dot(g))
-                norm = math.sqrt(gp.dot(gp))
-                if norm < 1e-12:
-                    raise ZeroUpdate("equalizer vector vanished")
-                np.divide(gp, norm, row)
-                g = row
+                g = a.dot(z.dot(g), out=row)
             W += (Xb * c) @ Xb.T
-            norms = np.linalg.norm(G[:m], axis=1)
-            max_norm_dev = max(max_norm_dev, float(np.max(np.abs(norms - 1.0))))
+            with np.errstate(over="ignore"):  # an overflow reads as an infinite norm
+                norms = np.linalg.norm(G[:m], axis=1)  # window t scaled g by norms[t] / norms[t - 1]
+            if np.any(norms < 1e-12 * np.append(1.0, norms[:-1])):
+                raise ZeroUpdate("equalizer vector vanished")
+            if not np.all((norms > _G_RANGE[0]) & (norms < _G_RANGE[1])):  # NaN fails too
+                raise Diverged(f"equalizer vector left the float range within a block at mu2 = {mu2}")
+            G[:m] /= norms[:, None]
+            max_norm_dev = max(max_norm_dev, float(np.max(np.abs(np.linalg.norm(G[:m], axis=1) - 1.0))))
             max_asym = max(max_asym, float(np.max(np.abs(W - W.T))))
         trajectory.append(g.copy())
     return UnimodalResult(

@@ -61,19 +61,28 @@ class ScoreFunction:
         return type(self).update is not ScoreFunction.update
 
 
+def _score_call(scores, method, channels, regroup=False):
+    """Y -> _apply_scores(scores, Y, method), grouped here once unless a score's key can change."""
+    if len(scores) != channels:
+        raise DimensionMismatch(f"{len(scores)} scores for {channels} channels")
+    if not regroup and any(s.keeps_state for s in scores):
+        return lambda Y: _score_call(scores, method, channels, regroup=True)(Y)
+    keys = [s.batch_key() for s in scores]
+    groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
+    if len(groups) == 1:
+        return getattr(scores[0], method)
+
+    def call(Y):
+        out = np.empty_like(Y)
+        for rows in groups:
+            out[rows] = getattr(scores[rows[0]], method)(Y[rows])
+        return out
+    return call
+
+
 def _apply_scores(scores, Y, method="f"):
     """Channel i's score on row i of Y (N-vector or N x T), one call per batch_key."""
-    Y = np.asarray(Y, dtype=float)
-    keys = [s.batch_key() for s in scores]
-    if len(keys) != Y.shape[0]:
-        raise DimensionMismatch(f"{len(keys)} scores for {Y.shape[0]} channels")
-    if len(set(keys)) == 1:
-        return getattr(scores[0], method)(Y)
-    out = np.empty_like(Y)
-    for key in dict.fromkeys(keys):
-        rows = [i for i, k in enumerate(keys) if k == key]
-        out[rows] = getattr(scores[rows[0]], method)(Y[rows])
-    return out
+    return _score_call(scores, method, np.shape(Y)[0])(np.asarray(Y, dtype=float))
 
 
 class CubicScore(ScoreFunction):

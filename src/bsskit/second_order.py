@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec
-from .moments import _covariance, sample_covariance
+from .moments import _covariance
 from .signals import SignalMatrix, _as_data
 
 _RANK_TOLERANCE = 1e-9  # whiten's null-direction floor, relative to the largest eigenvalue
@@ -54,7 +54,9 @@ class Whitener:
     mean: np.ndarray
 
     def apply(self, U) -> SignalMatrix:
-        X = _as_data(U)
+        return self._sphere(_as_data(U))
+
+    def _sphere(self, X: np.ndarray) -> SignalMatrix:  # apply, on data already checked
         return SignalMatrix._adopt(self._affine(X)[0] @ (X - self.mean[:, None]))
 
     def _affine(self, X: np.ndarray):  # (T_w, mean), once X has the channels the whitener was fitted on
@@ -89,6 +91,10 @@ def fit_whitener(U) -> Whitener:
     The covariance is sample_covariance(U, 0).  Eigenvalues below _RANK_TOLERANCE
     times the largest are null directions, which the transform's rows leave out.
     """
+    return _fitted(U)[0]
+
+
+def _fitted(U):  # (fit_whitener(U), U's data), checking U once
     X = _as_data(U)
     mean = X.mean(axis=1)
     eigvals, eigvecs = _sorted_eigh(_covariance(X, mean))  # sample_covariance(X, 0)
@@ -97,13 +103,13 @@ def fit_whitener(U) -> Whitener:
         raise DegenerateInput("all covariance eigenvalues vanish")
     rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
     T_w = eigvecs[:, :rank].T / np.sqrt(eigvals[:rank])[:, None]
-    return Whitener(matrix=T_w, detected_rank=rank, eigenvalues=eigvals, mean=mean)
+    return Whitener(matrix=T_w, detected_rank=rank, eigenvalues=eigvals, mean=mean), X
 
 
 def whiten(U):
     """fit_whitener(U) with the sphered data it gives: (Whitener, SignalMatrix)."""
-    w = fit_whitener(U)
-    return w, w.apply(U)
+    w, X = _fitted(U)
+    return w, w._sphere(X)
 
 
 def amuse(U, lag: int = 1, gap_tolerance: float = 0.05) -> Separator:
@@ -119,8 +125,8 @@ def amuse(U, lag: int = 1, gap_tolerance: float = 0.05) -> Separator:
     """
     if lag < 1:
         raise InvalidSpec(f"amuse needs lag >= 1, got {lag}")
-    whitener = fit_whitener(U)  # then the lagged covariance of whitener.apply(U), read from U
-    eigvals, Q = _sorted_eigh(whitener.matrix @ sample_covariance(U, lag).matrix @ whitener.matrix.T)
+    whitener, X = _fitted(U)  # then the lagged covariance of whitener.apply(U), read from U's data
+    eigvals, Q = _sorted_eigh(whitener.matrix @ _covariance(X, whitener.mean, lag) @ whitener.matrix.T)
     gaps = np.abs(np.diff(eigvals))
     if gaps.size and float(gaps.min()) <= gap_tolerance:
         worst = int(np.argmin(gaps))

@@ -11,11 +11,13 @@ from bsskit import (
     Cumulant4Tensor,
     DegenerateSpectrum,
     DimensionMismatch,
+    Diverged,
     InvalidSpec,
     MixingModel,
     NotConverged,
     RankDeficient,
     SourceSpec,
+    ZeroUpdate,
     deterministic_cm,
     estimate_cum4,
     fix_signs,
@@ -38,6 +40,7 @@ from bsskit import (
     whiten,
     window_stack,
 )
+from bsskit import algebraic
 from bsskit.algebraic import _UNIMODAL_BLOCK, UNIMODAL_INITS, _cum_unfolding_power, _pair_coefficients
 
 BPSK_TRIPLE = None  # built lazily below
@@ -738,6 +741,31 @@ def test_unimodal_blocks_match_the_reference_at_a_large_step():
     assert np.max(np.tril(gain[:, None] * gram * gram, -1)) > 1.0  # an off-diagonal entry of the system exceeds 1
     for init in UNIMODAL_INITS:
         assert_unimodal_matches_reference(U, 5.0, 0.5, 1, 3, init)
+
+
+def test_unimodal_stops_where_a_window_annihilates_g(monkeypatch):
+    # W starts with eigenvalue -1/mu2 along g's start vector e0, and mu1 is so
+    # small that the first window barely moves W: that window's step
+    # (I + mu2 W) e0 shrinks g by far more than 1e-12
+    K = 2 * 4  # two sensors, windows of depth 4
+    V = np.diag([-2.0, 3.0] + [0.0] * (K - 2))  # trace 1, so W starts as V
+    monkeypatch.setattr(algebraic, "_cum_unfolding_power", lambda Z: (1.0, V.copy()))
+    with pytest.raises(ZeroUpdate):
+        unimodal_equalizer(two_sensor_scene(3, 200), mu1=1e-20, mu2=0.5, L=4)
+
+
+@pytest.mark.parametrize("mu2", [10.0, 1e3])
+def test_unimodal_at_a_large_step_matches_the_reference_or_raises(mu2):
+    # g steps unnormalized through a block, so it can grow by prod(1 + mu2 ||W_t||)
+    # there; past the float range the run raises Diverged, never returns a NaN
+    U = two_sensor_scene(5, 304)
+    for init in UNIMODAL_INITS:
+        try:
+            result = unimodal_equalizer(U, mu1=0.05, mu2=mu2, L=4, epochs=2, init=init)
+        except Diverged:
+            continue
+        assert np.all(np.isfinite(result.g)) and math.isfinite(result.max_g_norm_dev)
+        assert_unimodal_matches_reference(U, 0.05, mu2, 4, 2, init)
 
 
 def test_unimodal_rejects_bad_steps():

@@ -238,6 +238,43 @@ def test_nonlinear_pca_update_projects_the_one_column_direction():
     assert np.allclose(D, np.outer(f, u - Q.T @ f), rtol=0, atol=1e-12)
 
 
+def test_stateless_scores_are_grouped_once_per_run(monkeypatch):
+    keys = []
+
+    def counted(self):
+        keys.append(type(self))
+        return type(self)
+    monkeypatch.setattr(ScoreFunction, "batch_key", counted)
+    X = np.random.default_rng(29).uniform(-1.7, 1.7, (3, 2000))
+    run_separation(X, [CubicScore() for _ in range(3)], AdaptConfig(step_size=0.003))
+    # once to resolve the score call, once for the epoch's criterion; never per sample
+    assert len(keys) == 2 * 3
+
+
+def test_scores_whose_signs_part_mid_run_are_regrouped():
+    # two sign-switching scores start with one kurtosis sign, so one call serves
+    # both; once the second channel turns sub-gaussian the signs part, and each
+    # channel then needs its own call: grouping resolved once would miss it
+    rng = np.random.default_rng(30)
+    laplace = rng.laplace(0.0, 2 ** -0.5, (2, 1500))
+    X = np.vstack([laplace[0], np.concatenate([laplace[1, :500], rng.uniform(-3 ** 0.5, 3 ** 0.5, 1000)])])
+    cfg = AdaptConfig(step_size=0.001, mode="relative")
+    sep, _ = run_separation(X, [SignSwitchingScore(), SignSwitchingScore()], cfg)
+
+    scores = [SignSwitchingScore(), SignSwitchingScore()]
+    assert scores[0].batch_key() == scores[1].batch_key()
+    parted = 0
+    G = np.eye(2)
+    for u in X.T:
+        y = G @ u
+        for i, s in enumerate(scores):
+            s.update(y[i])
+        parted += scores[0].batch_key() != scores[1].batch_key()
+        G = adaptive_update(G, u, scores, cfg)
+    assert parted > 100
+    assert np.allclose(sep.matrix, G, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("mode, kind", [
     ("relative", "cubic"), ("plain", "tanh"), ("anti_hebbian", "cubic"),
     ("nonlinear_pca", "sign_switching"), ("relative", "tanh"),

@@ -19,6 +19,7 @@ from bsskit import (
     separation_index,
     whiten,
 )
+from bsskit import signals
 from bsskit.second_order import _RANK_TOLERANCE
 
 
@@ -108,6 +109,21 @@ def test_whitened_and_separated_signals_are_adopted_read_only():
     for signal in [Z, whitener.apply(X)] + [sep.apply(X) for sep in separators]:
         assert not signal.data.flags.writeable
         assert not np.shares_memory(signal.data, X)
+
+
+@pytest.mark.parametrize("step", [whiten, amuse])
+def test_a_bare_array_is_checked_once(monkeypatch, step):
+    # the finiteness pass reads every sample, so a bare array pays for it once;
+    # the sphered output whiten adopts is checked as well, as its own array
+    U = ar_pair(3, 5_000).data.copy()
+    checked = []
+
+    def counted(arr, original=signals._checked_signal):
+        checked.append(np.shares_memory(arr, U))
+        return original(arr)
+    monkeypatch.setattr(signals, "_checked_signal", counted)
+    step(U)
+    assert checked.count(True) == 1
 
 
 def test_amuse_separates_ar_sources():
