@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
+from .fixedpoint import _check_step_size, _check_stop_rule
 from .scores import _apply_scores, _score_call, make_score
 from .second_order import Separator, whiten
 from .signals import _as_data
@@ -46,14 +47,10 @@ class AdaptConfig:
 
     def __post_init__(self):
         # zero is allowed so parameter sweeps can include the no-update row
-        if self.step_size < 0 or not np.isfinite(self.step_size):
-            raise InvalidSpec(f"step_size must be finite and >= 0, got {self.step_size}")
+        _check_step_size(self.step_size)
         if self.mode not in MODES:
             raise InvalidSpec(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_iterations < 1:
-            raise InvalidSpec("max_iterations must be at least 1")
-        if self.convergence_tolerance <= 0:
-            raise InvalidSpec("convergence_tolerance must be positive")
+        _check_stop_rule(self.max_iterations, self.convergence_tolerance, np.inf)
         if self.init not in INITS:
             raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
 

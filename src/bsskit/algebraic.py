@@ -27,7 +27,7 @@ from .errors import (
 )
 from .fixedpoint import _check_stop_rule
 from .moments import Cumulant4Tensor, _pair_products, cumulant_matrix, estimate_cum4, tucker_transform, unfold
-from .second_order import Separator, Whitener, fix_signs, whiten
+from .second_order import Separator, Whitener, _sorted_eigh, fix_signs, whiten
 from .signals import _as_data, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
@@ -84,6 +84,7 @@ def _pair_sweep(A, pair_angle, sweep_tolerance, max_sweeps):
     # pair's Givens angle and its gain, the progress measure sweep_tolerance
     # bounds.  A pair is rotated whenever its gain is positive; the sweeps
     # stop once no pair of a sweep gained sweep_tolerance or more.
+    _check_stop_rule(max_sweeps, sweep_tolerance, np.inf)
     N = A.shape[-1]
     Q = np.eye(N)
     for _ in range(max_sweeps):
@@ -143,15 +144,6 @@ def joint_diagonalize(matrices, sweep_tolerance: float = 1e-12, max_sweeps: int 
     return fix_signs(Q.T)
 
 
-def _unfolding_eigh(C: Cumulant4Tensor):
-    """Eigenpairs of the 2x2 unfolding, largest magnitude first.  Cumulant4Tensor
-    makes it exactly symmetric, so eigh reads the tensor's own values."""
-    N = C.dim
-    eigvals, eigvecs = np.linalg.eigh(C.values.reshape(N * N, N * N))
-    order = np.argsort(np.abs(eigvals))[::-1]
-    return eigvals[order], eigvecs[:, order]
-
-
 def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     """Joint diagonalizer of the N most significant eigenmatrices of C.
 
@@ -160,7 +152,7 @@ def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     eigenvalues, and jointly diagonalized, which takes their symmetric parts.
     """
     N = C.dim
-    eigvals, eigvecs = _unfolding_eigh(C)
+    eigvals, eigvecs = _sorted_eigh(unfold(C, "2x2"), by_magnitude=True)
     return joint_diagonalize([lam * v.reshape(N, N) for lam, v in zip(eigvals[:N], eigvecs.T[:N])])
 
 
@@ -276,6 +268,7 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
     N = C.dim
     if not (1 <= r <= N):
         raise InvalidSpec(f"rank must lie in 1..{N}, got {r}")
+    _check_stop_rule(max_iterations, tolerance, np.inf)
     if init is None:
         base = hoevd(C)[0][:, :r]
     else:
@@ -320,15 +313,6 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
                           error_trajectory=tuple(errors))
 
 
-def _dominant_eigenpair(W):
-    """(S, value, vector): the symmetric part S of W and its eigenpair of largest
-    |eigenvalue|, the first on a tie, the vector sign-fixed."""
-    S = (W + W.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(S)
-    k = int(np.argmax(np.abs(eigvals)))
-    return S, float(eigvals[k]), fix_signs(eigvecs[:, k])
-
-
 @dataclass(frozen=True)
 class Rank1Init:
     """Two-stage rank-one initialization of a kurtosis search.
@@ -355,14 +339,16 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
     hence the initialization, undetermined.
     """
     N = C.dim
-    eigvals, eigvecs = _unfolding_eigh(C)
+    eigvals, eigvecs = _sorted_eigh(unfold(C, "2x2"), by_magnitude=True)
     if N > 1 and abs(abs(eigvals[0]) - abs(eigvals[1])) < 1e-8:
         raise DegenerateSpectrum(
             f"two leading unfolding eigenvalues have magnitudes "
             f"{abs(eigvals[0]):.6e} and {abs(eigvals[1]):.6e}"
         )
-    W, varsigma, g0 = _dominant_eigenpair(fix_signs(eigvecs[:, 0]).reshape(N, N))
-    return Rank1Init(g0=g0, eigenvalue=float(eigvals[0]), varsigma=varsigma, matrix=W)
+    W = eigvecs[:, 0].reshape(N, N)
+    W = (W + W.T) / 2.0
+    varsigmas, vectors = _sorted_eigh(W, by_magnitude=True)
+    return Rank1Init(g0=vectors[:, 0], eigenvalue=float(eigvals[0]), varsigma=float(varsigmas[0]), matrix=W)
 
 
 def _cum_unfolding_power(Z, iterations: int = 16):
@@ -458,8 +444,8 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     |W - W^T|, measured at every block end.
     """
     # mu2 = 0 is allowed: it freezes g and leaves only the W fit running
-    if mu1 <= 0 or mu2 < 0:
-        raise InvalidSpec("need mu1 > 0 and mu2 >= 0")
+    if not (0.0 < mu1 < np.inf and 0.0 <= mu2 < np.inf):  # NaN fails too
+        raise InvalidSpec(f"need finite mu1 > 0 and mu2 >= 0, got mu1 = {mu1}, mu2 = {mu2}")
     if epochs < 1:
         raise InvalidSpec("epochs must be at least 1")
     if init not in UNIMODAL_INITS:
@@ -621,15 +607,15 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
 
     w = w0
     for _ in range(50):
-        _, value, v = _dominant_eigenpair(w.reshape(N, N))
-        w_new = project((value * np.outer(v, v)).reshape(N * N))
+        values, vectors = _sorted_eigh(w.reshape(N, N), by_magnitude=True)
+        w_new = project((values[0] * np.outer(vectors[:, 0], vectors[:, 0])).reshape(N * N))
         if np.linalg.norm(w_new - w) < 1e-15 * max(1.0, np.linalg.norm(w)):
             w = w_new
             break
         w = w_new
 
-    _, value, v = _dominant_eigenpair(w.reshape(N, N))
-    h = B.T @ (math.sqrt(abs(value)) * v)
+    values, vectors = _sorted_eigh(w.reshape(N, N), by_magnitude=True)
+    h = B.T @ (math.sqrt(abs(values[0])) * vectors[:, 0])
 
     def in_span_error(h):
         return R_z @ (scale * h[iu] * h[ju]) - qt1

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
 from .moments import _covariance, _pair_gram, kurtosis
 from .scores import CubicScore
-from .second_order import _RANK_TOLERANCE, Separator, fix_signs
+from .second_order import _RANK_TOLERANCE, Separator, _sorted_eigh, fix_signs
 from .signals import _as_data
 
 _NORM_FLOOR = 1e-12
@@ -141,13 +141,21 @@ def _cubic_moment_step(gram: np.ndarray, m2: np.ndarray, newton: bool):
     return step
 
 
-def _check_stop_rule(max_iterations: int, tolerance: float):
-    """A direction search stops once 1 - |<g+, g>| < tolerance, so a tolerance
-    of 1 or more stops it after one step and one of 0 or less never does."""
+def _check_stop_rule(max_iterations: int, tolerance: float, upper: float = 1.0):
+    """A search stops once its progress falls below tolerance, so a tolerance of
+    0 or less (or NaN) never stops it.  A direction search's progress is
+    1 - |<g+, g>|, so a tolerance of ``upper`` = 1 or more stops it after one
+    step; a pair sweep's or a fit's progress is unbounded (upper = inf)."""
     if max_iterations < 1:
-        raise InvalidSpec(f"max_iterations must be at least 1, got {max_iterations}")
-    if not 0.0 < tolerance < 1.0:
-        raise InvalidSpec(f"tolerance must lie strictly between 0 and 1, got {tolerance}")
+        raise InvalidSpec(f"the iteration cap must be at least 1, got {max_iterations}")
+    if not 0.0 < tolerance < upper:
+        raise InvalidSpec(f"the stop tolerance must lie strictly between 0 and {upper:g}, got {tolerance}")
+
+
+def _check_step_size(step_size: float):
+    """A step size is finite and at least 0; 0 freezes the update it scales."""
+    if not 0.0 <= step_size < np.inf:  # NaN fails too
+        raise InvalidSpec(f"step_size must be finite and >= 0, got {step_size}")
 
 
 def deflate_extract(U, score, count: int, variant: str = "newton", max_iterations: int = 200,
@@ -178,7 +186,7 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     if not (1 <= count <= N):
         raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
     _check_stop_rule(max_iterations, tolerance)
-    moment_step = m2 = None
+    moment_step = m2 = floor = None
     rng = np.random.default_rng(seed)
     units = np.empty((count, N))
     for r in range(count):
@@ -202,7 +210,9 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
             raise NotConverged(f"unit {r} did not settle in {max_iterations} iterations", index=r)
         if m2 is None:  # only streamed units so far: one pass for E[u u^T]
             m2 = W @ _covariance(X, m) @ W.T
-        if state.g @ m2 @ state.g < _RANK_TOLERANCE * np.linalg.eigvalsh(m2)[-1]:
+        if floor is None:
+            floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
+        if state.g @ m2 @ state.g < floor:
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
         units[r] = state.g
     return Separator(matrix=units @ W, whitener=whitener)
@@ -258,6 +268,7 @@ def cma(U, step_size: float = 0.01, epochs: int = 1):
     by the finiteness check after every epoch.  Either way the run raises
     Diverged instead of iterating on NaN.
     """
+    _check_step_size(step_size)
     if epochs < 1:
         raise InvalidSpec(f"epochs must be at least 1, got {epochs}")
     X = _as_data(U)

@@ -32,10 +32,11 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _sorted_eigh(R: np.ndarray):
-    """Eigenpairs of the symmetric part of R: eigenvalues descending, vectors sign-fixed."""
+def _sorted_eigh(R: np.ndarray, by_magnitude: bool = False):
+    """Eigenpairs of the symmetric part of R, vectors sign-fixed: eigenvalues descending,
+    or with ``by_magnitude`` their magnitudes descending, the first of equal magnitudes first."""
     eigvals, eigvecs = np.linalg.eigh((R + R.T) / 2.0)
-    order = np.argsort(eigvals)[::-1]
+    order = np.argsort(-np.abs(eigvals), kind="stable") if by_magnitude else np.argsort(eigvals)[::-1]
     return eigvals[order], fix_signs(eigvecs[:, order])
 
 

@@ -312,3 +312,6 @@ def test_adapt_config_validation():
         AdaptConfig(mode="sideways")
     with pytest.raises(InvalidSpec):
         AdaptConfig(max_iterations=0)
+    for tolerance in (0.0, -1.0, np.nan):  # a run that could never stop early
+        with pytest.raises(InvalidSpec):
+            AdaptConfig(convergence_tolerance=tolerance)

@@ -199,12 +199,21 @@ def test_pair_sweeps_raise_at_the_sweep_cap():
     R = random_orthogonal(3, 49)
     mats = [R @ np.diag([3.0, 1.0, -2.0]) @ R.T]
     with pytest.raises(NotConverged):
-        joint_diagonalize(mats, max_sweeps=0)
-    with pytest.raises(NotConverged):
         joint_diagonalize(mats, max_sweeps=1)
     C = tucker_transform(diag_tensor([-2.0, -1.2, 1.0]), R)
     with pytest.raises(NotConverged):
         jacobi_diagonalize(C, max_sweeps=1)
+
+
+@pytest.mark.parametrize("max_sweeps, sweep_tolerance",
+                         [(0, 1e-10), (5, 0.0), (5, -1.0), (5, np.nan), (5, np.inf)])
+def test_pair_sweeps_refuse_a_stop_rule_that_cannot_stop(max_sweeps, sweep_tolerance):
+    # checked before any sweep: a tolerance of 0 or less (or NaN) would sweep to the cap
+    mats = [np.diag([3.0, 1.0, -2.0])]
+    with pytest.raises(InvalidSpec):
+        joint_diagonalize(mats, sweep_tolerance=sweep_tolerance, max_sweeps=max_sweeps)
+    with pytest.raises(InvalidSpec):
+        jacobi_diagonalize(diag_tensor([-2.0, -1.2, 1.0]), sweep_tolerance, max_sweeps)
 
 
 def test_joint_diagonalize_recovers_shared_eigenbasis():
@@ -512,6 +521,13 @@ def test_parafac_rejects_rank_zero():
         parafac_als(diag_tensor([-2.0, -1.2]), 0)
 
 
+@pytest.mark.parametrize("max_iterations, tolerance", [(0, 1e-10), (200, -1.0), (200, 0.0), (200, np.nan)])
+def test_parafac_refuses_a_stop_rule_that_cannot_stop(max_iterations, tolerance):
+    # no cycle runs: the HO-EVD init is never returned unfitted as a result
+    with pytest.raises(InvalidSpec):
+        parafac_als(diag_tensor([-2.0, -1.2]), 2, max_iterations=max_iterations, tolerance=tolerance)
+
+
 def test_parafac_reconstructs_an_exact_rank_two_tensor():
     C = tucker_transform(diag_tensor([-2.0, -1.2]), random_orthogonal(2, 50))
     fit = parafac_als(C, 2)
@@ -774,6 +790,9 @@ def test_unimodal_rejects_bad_steps():
         unimodal_equalizer(U, mu1=0.0, mu2=0.1, L=4)
     with pytest.raises(InvalidSpec):
         unimodal_equalizer(U, mu1=0.05, mu2=-0.1, L=4)
+    for mu1, mu2 in [(np.inf, 0.1), (np.nan, 0.1), (0.05, np.inf), (0.05, np.nan)]:
+        with pytest.raises(InvalidSpec):
+            unimodal_equalizer(U, mu1=mu1, mu2=mu2, L=4)
     with pytest.raises(InvalidSpec):
         unimodal_equalizer(U, mu1=0.05, mu2=0.1, L=4, init="warm")
 

@@ -312,16 +312,19 @@ def _strict_json(line):
 
 
 @pytest.mark.parametrize("algorithm, status", [
-    ("algorithm = jacobi\nalgorithm.max_sweeps = 0\n", "NotConverged"),
+    ("algorithm = jacobi\nalgorithm.max_sweeps = 0\n", "InvalidSpec"),
+    # a sweep tolerance of 0 or less would sweep to the cap and end NotConverged
+    ("algorithm = jacobi\nalgorithm.sweep_tolerance = 0\n", "InvalidSpec"),
     ("algorithm = cma\nalgorithm.step_size = 50\n", "Diverged"),
+    ("algorithm = cma\nalgorithm.step_size = -0.01\n", "InvalidSpec"),
     ("algorithm = cma\nalgorithm.epochs = 0\n", "InvalidSpec"),
     # a direction tolerance of 1 or more would stop after one step
     ("algorithm = sea\nalgorithm.tolerance = 5\n", "InvalidSpec"),
     ("algorithm = rank1_sea\nalgorithm.tolerance = 3\n", "InvalidSpec"),
     ("algorithm = fastica\nalgorithm.max_iterations = 0\n", "InvalidSpec"),
     ("algorithm = det_cm\nalgorithm.max_refinements = -4\n", "InvalidSpec"),
-], ids=["jacobi_sweep_cap", "cma_diverging", "cma_no_epochs", "sea_tolerance_5", "rank1_sea_tolerance_3",
-        "fastica_no_iterations", "det_cm_negative_refinements"])
+], ids=["jacobi_sweep_cap", "jacobi_sweep_tolerance_0", "cma_diverging", "cma_negative_step", "cma_no_epochs",
+        "sea_tolerance_5", "rank1_sea_tolerance_3", "fastica_no_iterations", "det_cm_negative_refinements"])
 def test_capped_or_diverging_runs_are_never_ok(tmp_path, algorithm, status):
     out = tmp_path / "r.jsonl"
     assert main(["run", put(tmp_path, THREE_BPSK + algorithm), "--out", str(out)]) == 3

@@ -603,3 +603,10 @@ def test_cma_divergence_is_a_typed_error(N):
         # floating-point error, and the epoch-end check catches it
         with pytest.raises(Diverged, match="not finite"):
             cma(np.full((N, 1), 1e104), step_size=0.01)
+
+
+@pytest.mark.parametrize("step_size", [-0.01, np.nan, np.inf])
+def test_cma_refuses_a_step_size_that_is_negative_or_not_finite(step_size):
+    # refused before any sample, as AdaptConfig refuses it
+    with pytest.raises(InvalidSpec, match="step_size"):
+        cma(unit_power_mixture("uniform", 2, 100, seed=0), step_size=step_size)

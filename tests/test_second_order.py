@@ -1,8 +1,12 @@
 """Whitening and the lagged-covariance separator."""
 
+import ast
+import os
+
 import numpy as np
 import pytest
 
+import bsskit
 from bsskit import (
     DegenerateInput,
     DegenerateSpectra,
@@ -20,7 +24,7 @@ from bsskit import (
     whiten,
 )
 from bsskit import signals
-from bsskit.second_order import _RANK_TOLERANCE
+from bsskit.second_order import _RANK_TOLERANCE, _sorted_eigh
 
 
 def ar_pair(seed, samples=50_000):
@@ -183,3 +187,40 @@ def test_fix_signs_largest_entry_positive():
     assert np.array_equal(fix_signs(M[:, 0]), F[:, 0])
     assert np.array_equal(fix_signs(M[:, 1]), F[:, 1])
     assert np.array_equal(M, [[1.0, -3.0], [-2.0, 1.0]])
+
+
+def test_sorted_eigh_orders_by_value_or_by_magnitude():
+    R = np.diag([-2.0, 1.0, 2.0])
+    values, vectors = _sorted_eigh(R)
+    assert np.array_equal(values, [2.0, 1.0, -2.0])
+    assert np.array_equal(vectors, np.eye(3)[:, [2, 1, 0]])
+    # magnitude order keeps the first of equal magnitudes first: -2 before 2
+    values, vectors = _sorted_eigh(R, by_magnitude=True)
+    assert np.array_equal(values, [-2.0, 2.0, 1.0])
+    assert np.array_equal(vectors, np.eye(3)[:, [0, 2, 1]])  # sign-fixed in both orders
+
+
+def _eigen_solver_calls():
+    """(module, top-level function) of every eigh or eigvalsh named in src/bsskit."""
+    package = os.path.dirname(bsskit.__file__)
+    calls = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        spans = [(node.lineno, node.end_lineno, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            named = node.name if isinstance(node, ast.alias) else getattr(node, "attr", getattr(node, "id", None))
+            if named in ("eigh", "eigvalsh"):
+                owner = [where for first, last, where in spans if first <= node.lineno <= last]
+                calls.append((name, owner[0] if owner else None))
+    return calls
+
+
+def test_eigenpairs_are_read_off_in_one_place():
+    # every eigen read-off goes through _sorted_eigh; deterministic_cm keeps
+    # one eigh of its own, the floored sphering basis of M2
+    calls = _eigen_solver_calls()
+    assert sorted(calls) == [("algebraic.py", "deterministic_cm"), ("second_order.py", "_sorted_eigh")]
