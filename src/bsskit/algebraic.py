@@ -26,8 +26,9 @@ from .errors import (
     ZeroUpdate,
 )
 from .fixedpoint import _check_stop_rule
-from .moments import Cumulant4Tensor, _pair_products, cumulant_matrix, estimate_cum4, tucker_transform, unfold
-from .second_order import Separator, Whitener, _sorted_eigh, fix_signs, whiten
+from .moments import (Cumulant4Tensor, _contract3, _pair_products, cumulant_matrix, estimate_cum4, tucker_transform,
+                      unfold)
+from .second_order import Separator, Whitener, _sorted_eigh, fit_whitener, fix_signs, whiten
 from .signals import _as_data, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
@@ -156,17 +157,16 @@ def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     return joint_diagonalize([lam * v.reshape(N, N) for lam, v in zip(eigvals[:N], eigvecs.T[:N])])
 
 
-def jade(U, whitener: Whitener | None = None) -> Separator:
-    """Separate sphered data by joint diagonalization of cumulant slices.
+def jade(U) -> Separator:
+    """Separate raw data by joint diagonalization of cumulant slices.
 
-    ``U`` must already be sphered; pass the fitted whitener to fold it into
-    the returned separator so that it applies to raw sensor data.
+    Fits a whitener to U and reads the cumulant tensor of the sphered data
+    from U through it (estimate_cum4), so no sphered copy is built.  The
+    returned separator folds the whitener in and applies to U.
     """
-    C = estimate_cum4(U)
-    Q = jade_rotation(C)
-    if whitener is not None:
-        return Separator(matrix=Q.T @ whitener.matrix, whitener=whitener)
-    return Separator(matrix=Q.T)
+    whitener = fit_whitener(U)
+    Q = jade_rotation(estimate_cum4(U, whitener=whitener))
+    return Separator(matrix=Q.T @ whitener.matrix, whitener=whitener)
 
 
 def hoevd(C: Cumulant4Tensor):
@@ -194,7 +194,7 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
     with 0 < tolerance < 1.
     """
     _check_stop_rule(max_iterations, tolerance)
-    V = C.values.reshape(C.dim**2, -1)  # the 2x2 unfolding: C.g.g.g is V (g (x) g), reshaped, times g
+    V = C.values.reshape(C.dim**2, -1)  # the 2x2 unfolding
     if init is None:
         g = hoevd(C)[0][:, 0]
     else:
@@ -206,7 +206,7 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
             raise ZeroUpdate("init vector has zero norm")
         g = g / norm
     for _ in range(max_iterations):
-        t = (V @ np.outer(g, g).ravel()).reshape(g.size, g.size) @ g
+        t = _contract3(V, g)
         norm = np.linalg.norm(t)
         if norm < 1e-12:
             raise ZeroContraction(f"contraction norm {norm:.3e} vanished")

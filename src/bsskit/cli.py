@@ -42,8 +42,7 @@ from dataclasses import replace
 import numpy as np
 
 from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
-from .algebraic import (UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade_rotation, rank1_init,
-                        unimodal_equalizer)
+from .algebraic import UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init, unimodal_equalizer
 from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
 from .fixedpoint import VARIANTS, cma, deflate_extract
 from .metrics import _clamped_db, separation_index
@@ -301,8 +300,7 @@ def _fastica(m, params):
 
 
 def _jade(m, params):
-    whitener = fit_whitener(m.U)
-    return _index(m, jade_rotation(estimate_cum4(m.U, whitener=whitener)).T @ whitener.matrix), None, None
+    return _index(m, jade(m.U).matrix), None, None
 
 
 def _jacobi(m, params):

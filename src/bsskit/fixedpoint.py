@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
-from .moments import _covariance, _pair_gram, kurtosis
+from .moments import _contract3, _covariance, _pair_gram, kurtosis
 from .scores import CubicScore
 from .second_order import _RANK_TOLERANCE, Separator, _sorted_eigh, fix_signs
 from .signals import _as_data
@@ -25,10 +25,10 @@ _STEP_BLOCK = 8192
 # N = 3 and slower at N = 16, and 128 was slower at both
 _CMA_BLOCK = 64
 # most channels for which deflate_extract runs cubic newton/fixed_point units
-# on the fourth-moment Gram.  Extracting all N units of sphered uniform
-# mixtures with newton on one core, the Gram path against streaming took
-# 93 against 103 ms at N = 24, T = 20 000 (393 against 450 ms at T = 100 000),
-# but 152 against 134 ms at N = 28, T = 20 000.
+# on the fourth moments.  Extracting all N units of sphered uniform mixtures
+# with newton on one core (min of 11), the moment path against streaming took
+# 60 against 70 ms at N = 22, T = 20 000, 84 against 79-82 ms at N = 24
+# (302 against 337 ms at T = 100 000), but 143 against 99-101 ms at N = 28.
 _MOMENT_MAX_N = 24
 
 VARIANTS = ("newton", "fixed_point", "gradient")
@@ -116,25 +116,17 @@ def _stepped(g_plus, beta: float, state: OneUnitState) -> OneUnitState:
     return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
 
 
-def _cubic_moment_step(gram: np.ndarray, m2: np.ndarray, newton: bool):
+def _cubic_moment_step(m4: np.ndarray, m2: np.ndarray, newton: bool):
     """fastica_step for CubicScore as a contraction of the data's moments.
 
-    The data are read once, by _pair_gram, into the Gram of the pair
-    products u_i u_j (every E[u_i u_j u_k u_l]) and m2 = E[u u^T].  A step
-    then costs O(N^4) and reads neither: with weights c_ij = 1 on the
-    diagonal and 2 off it, v = Gram (c * g_i g_j) holds E[u_i u_j y^2] for
-    i <= j, S is v unpacked into a symmetric matrix, and
-
-        E[u y^3] = S g,  beta = E[y^4] = g.S g,  E[y^2] = g.m2 g.
+    The data are read once, by _pair_gram, into m4, the unfolding of every
+    E[u_i u_j u_k u_l], and m2 = E[u u^T].  A step then costs O(N^4) and
+    reads neither: E[u y^3] = m4 . g . g . g (_contract3),
+    beta = E[y^4] = g.E[u y^3] and E[y^2] = g.m2 g.
     """
-    iu, ju = np.triu_indices(len(m2))
-    weights = np.where(iu == ju, 1.0, 2.0)
-    S = np.empty_like(m2)
-
     def step(state: OneUnitState) -> OneUnitState:
         g = state.g
-        S[iu, ju] = S[ju, iu] = gram @ (weights * g[iu] * g[ju])
-        euy3 = S @ g
+        euy3 = _contract3(m4, g)
         g_plus = euy3 - (3.0 * float(g @ m2 @ g)) * g if newton else euy3
         return _stepped(g_plus, float(g @ euy3), state)
 
@@ -169,8 +161,8 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
 
     A unit whose score is exactly CubicScore, under the newton or
     fixed_point variant, on at most _MOMENT_MAX_N channels, runs on the
-    fourth-moment Gram: the data are read once for all such units, and each
-    step is an O(N^4) contraction (see _cubic_moment_step).  Every other
+    data's fourth moments: the data are read once for all such units, and
+    each step is an O(N^4) contraction (see _cubic_moment_step).  Every other
     unit streams the data through fastica_step on each step.  With a fitted
     ``whitener``, U is raw data read through it as fastica_step reads it,
     count is at most its detected_rank, and the result applies to U.
@@ -193,8 +185,8 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
         unit_score = score() if callable(score) else score
         if type(unit_score) is CubicScore and variant in ("newton", "fixed_point") and N <= _MOMENT_MAX_N:
             if moment_step is None:
-                gram, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
-                moment_step = _cubic_moment_step(gram, m2, newton=variant == "newton")
+                m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
+                moment_step = _cubic_moment_step(m4, m2, newton=variant == "newton")
             step = moment_step
         else:
             step = partial(fastica_step, U=U, score=unit_score, variant=variant, whitener=whitener)

@@ -76,7 +76,7 @@ def separation_index(S) -> float:
 
     10 log10( sum of squared off-assignment entries / sum of squared
     assigned entries ), clamped to [-120, 120] so perfect separation stays
-    finite.
+    finite.  A system with no assigned power (all zero) reads 120.
     """
     S = np.asarray(S, dtype=float)
     permutation, _, _ = resolve_permutation_scale(S)
@@ -96,10 +96,10 @@ def separation_index(S) -> float:
 
 
 def _clamped_db(leak: float, signal: float) -> float:
-    """10 log10(leak / signal), clamped to [DB_FLOOR, DB_CEIL]: no leak reads DB_FLOOR, else no signal DB_CEIL."""
+    """10 log10(leak / signal), clamped to [DB_FLOOR, DB_CEIL]: no signal reads DB_CEIL, else no leak DB_FLOOR."""
     leak = max(leak, 0.0)
     if signal <= 0.0:
-        return DB_CEIL if leak > 0.0 else DB_FLOOR
+        return DB_CEIL
     if leak <= 0.0:
         return DB_FLOOR
     return float(max(min(10.0 * np.log10(leak / signal), DB_CEIL), DB_FLOOR))

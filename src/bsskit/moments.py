@@ -1,9 +1,9 @@
 """Second- and fourth-order statistics.
 
-Lagged covariances, the fourth-order cumulant tensor with its unfoldings and
-multilinear transform, kurtosis, Hermite polynomials and the truncated
-Edgeworth density.  Moment estimators use the 1/(T - lag) convention and
-remove the sample mean first.
+Lagged covariances, the fourth moments and the fourth-order cumulant tensor
+with its unfoldings, three-mode contraction and multilinear transform,
+kurtosis, Hermite polynomials and the truncated Edgeworth density.  Moment
+estimators use the 1/(T - lag) convention and remove the sample mean first.
 """
 
 from __future__ import annotations
@@ -136,11 +136,13 @@ def _pair_products(X: np.ndarray, mean: np.ndarray | None = None, transform: np.
 
 
 def _pair_gram(X: np.ndarray, mean: np.ndarray | None = None, transform: np.ndarray | None = None):
-    """E[p p^T] over X's samples z (see _pair_products), p = (z_i z_j)_{i<=j}, and m2 = E[z z^T].
+    """Every fourth and second moment of X's samples z (see _pair_products): (m4, m2).
 
-    One pass over X through _pair_products, rows in np.triu_indices order:
-    the Gram holds every fourth moment E[z_i z_j z_k z_l], and m2, unpacked
-    from E[p], every second moment.
+    m4 is the N^2 x N^2 unfolding of E[z_i z_j z_k z_l], row i*N + j and
+    column k*N + l, and m2 = E[z z^T].  One pass over X through
+    _pair_products sums the Gram of the pair products z_i z_j (i <= j), in
+    np.triu_indices order, and their sums; every (i, j) then reads its
+    sorted pair's row.
     """
     K = len(X if transform is None else transform)
     iu, ju = np.triu_indices(K)
@@ -149,9 +151,16 @@ def _pair_gram(X: np.ndarray, mean: np.ndarray | None = None, transform: np.ndar
     for P in _pair_products(X, mean, transform):
         gram += P @ P.T
         total += P.sum(axis=1)
-    m2 = np.empty((K, K))
-    m2[iu, ju] = m2[ju, iu] = total / X.shape[1]
-    return gram / X.shape[1], m2
+    pair_of = np.empty((K, K), dtype=np.intp)
+    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
+    pairs = pair_of.ravel()
+    return gram[np.ix_(pairs, pairs)] / X.shape[1], total[pair_of] / X.shape[1]
+
+
+def _contract3(V: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """V . g . g . g: the N^2 x N^2 unfolding V of a fourth-order array contracted with g on three modes."""
+    N = len(g)
+    return (V @ np.outer(g, g).ravel()).reshape(N, N) @ g
 
 
 def estimate_cum4(U, whitener=None) -> Cumulant4Tensor:
@@ -160,20 +169,16 @@ def estimate_cum4(U, whitener=None) -> Cumulant4Tensor:
     cum(i,j,k,l) = m4(i,j,k,l) - m2(i,j) m2(k,l) - m2(i,k) m2(j,l)
                    - m2(i,l) m2(j,k), with mean-removed sample moments.
 
-    m4 comes from the Gram matrix of the N(N+1)/2 pair products x_i x_j
-    (i <= j), accumulated over blocks of samples centred one at a time, so
-    no copy of U is ever built.  With a fitted ``whitener`` each block is
-    also sphered: the result is the cumulant tensor of whitener.apply(U).
+    m4 and m2 come from _pair_gram, accumulated over blocks of samples
+    centred one at a time, so no copy of U is ever built.  With a fitted
+    ``whitener`` each block is also sphered: the result is the cumulant
+    tensor of whitener.apply(U).
     """
     X = _as_data(U)
-    gram, m2 = _pair_gram(X, X.mean(axis=1), None if whitener is None else whitener._affine(X)[0])
+    m4, m2 = _pair_gram(X, X.mean(axis=1), None if whitener is None else whitener._affine(X)[0])
     N = len(m2)
-    iu, ju = np.triu_indices(N)  # the pair rows' (i, j), in row order
-    pair_of = np.empty((N, N), dtype=np.intp)
-    pair_of[iu, ju] = pair_of[ju, iu] = np.arange(iu.size)
-    m4 = gram[np.ix_(pair_of.ravel(), pair_of.ravel())].reshape(N, N, N, N)
     cum = (
-        m4
+        m4.reshape(N, N, N, N)
         - np.einsum("ij,kl->ijkl", m2, m2)
         - np.einsum("ik,jl->ijkl", m2, m2)
         - np.einsum("il,jk->ijkl", m2, m2)

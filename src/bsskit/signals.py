@@ -61,35 +61,28 @@ def _frozen_signal(arr: np.ndarray) -> np.ndarray:
 class SignalMatrix:
     """A bundle of synchronous channels, one row per channel.
 
-    ``transient_prefix`` marks how many leading samples are start-up
-    transient (nonzero only for convolutive outputs).  The data array is
-    frozen after construction.  The constructor copies what it is given;
-    signals that the library builds itself (drawn, mixed, whitened or
-    separated) adopt their freshly built array read-only, without a copy.
+    The data array is frozen after construction.  The constructor copies
+    what it is given; signals that the library builds itself (drawn, mixed,
+    whitened or separated) adopt their freshly built array read-only,
+    without a copy.
     """
 
     data: np.ndarray
-    transient_prefix: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_signal(np.array(self.data, dtype=float, order="C")))
 
     @classmethod
-    def _adopt(cls, data: np.ndarray, transient_prefix: int = 0) -> SignalMatrix:
+    def _adopt(cls, data: np.ndarray) -> SignalMatrix:
         # For arrays the library has just built and holds no other reference
         # to: the constructor's checks, without its copy.
         signal = object.__new__(cls)
         object.__setattr__(signal, "data", _frozen_signal(np.asarray(data, dtype=float, order="C")))
-        object.__setattr__(signal, "transient_prefix", transient_prefix)
         return signal
 
     @property
     def channel_count(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def sample_count(self) -> int:
-        return self.data.shape[1]
 
 
 def _as_data(U) -> np.ndarray:
@@ -242,7 +235,7 @@ def convolve_mimo(taps, A) -> SignalMatrix:
     """FIR-filter the source matrix: u(n) = sum_k H_k a(n - k), taps as in MixingModel.
 
     Prehistory is zero, so the first ``order`` output samples are start-up
-    transient; they are kept but flagged via ``transient_prefix``.
+    transient; they are kept.
     """
     taps = MixingModel("convolutive", taps=taps).taps
     X = _as_data(A)
@@ -253,7 +246,7 @@ def convolve_mimo(taps, A) -> SignalMatrix:
     out = np.zeros((M, T))
     for k, Hk in enumerate(taps[:T]):
         out[:, k:] += Hk @ X[:, : T - k]
-    return SignalMatrix._adopt(out, transient_prefix=len(taps) - 1)
+    return SignalMatrix._adopt(out)
 
 
 def mix(model: MixingModel, A) -> SignalMatrix:

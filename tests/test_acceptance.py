@@ -310,7 +310,7 @@ def test_criterion_10_joint_diagonalization_recovery(capsys):
         whitener, Z = whiten(U)
         Q = jacobi_diagonalize(estimate_cum4(Z))
         jacobi_hits += _index_after(Q @ whitener.matrix, H) < -15.0
-        jade_hits += _index_after(jade(Z, whitener).matrix, H) < -15.0
+        jade_hits += _index_after(jade(U).matrix, H) < -15.0
     _verdict(capsys, 10, worst_off < 1e-10 and jacobi_hits >= 18 and jade_hits >= 18,
              f"offdiag mass {worst_off:.2e}, jacobi {jacobi_hits}/20, jade {jade_hits}/20")
 

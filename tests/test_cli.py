@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bsskit
-from bsskit import (SourceSpec, deflate_extract, estimate_cum4, hopm, jacobi_diagonalize, jade, make_score,
+from bsskit import (SourceSpec, deflate_extract, estimate_cum4, hopm, jacobi_diagonalize, jade_rotation, make_score,
                     rank1_init, sample_covariance, separation_index, whiten)
 from bsskit.cli import (
     ALGORITHMS,
@@ -272,6 +272,14 @@ def test_eval_scores_stored_matrices(tmp_path, capsys):
         assert run.returncode == 2, run.stderr
         assert run.stdout == ""
         assert "Traceback" not in run.stderr and "Warning" not in run.stderr
+
+
+def test_eval_scores_an_all_zero_separator_worst(tmp_path, capsys):
+    write_signals(tmp_path / "h.txt", np.array([[1.0, 0.4], [-0.3, 2.0]]))
+    write_signals(tmp_path / "zero.txt", np.zeros((2, 2)))
+    assert main(["eval", "--separator", str(tmp_path / "zero.txt"),
+                 "--mixing", str(tmp_path / "h.txt")]) == 0
+    assert json.loads(capsys.readouterr().out)["index_db"] == 120.0
 
 
 def test_environment_seed_override(tmp_path, monkeypatch):
@@ -605,9 +613,9 @@ def whiten_then_solve(m, algorithm, params):
         score = params.get("score", "cubic")
         sep = deflate_extract(Z, lambda: make_score(score), count=Z.channel_count, seed=m.seed)
         return sep.matrix @ whitener.matrix
-    if algorithm == "jade":
-        return jade(Z, whitener).matrix
     C = estimate_cum4(Z)
+    if algorithm == "jade":
+        return jade_rotation(C).T @ whitener.matrix
     if algorithm == "jacobi":
         return jacobi_diagonalize(C) @ whitener.matrix
     return hopm(C, init=rank1_init(C).g0)[1] @ whitener.matrix  # rank1_sea

@@ -57,6 +57,12 @@ def test_index_clamps_generalized_permutations():
     assert separation_index(S) == -120.0
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (3, 2)])
+def test_index_of_a_system_that_passes_nothing_is_the_worst(shape):
+    # no assigned power: nothing is separated, though nothing leaks either
+    assert separation_index(np.zeros(shape)) == 120.0
+
+
 def test_index_for_uniform_one_percent_leakage():
     S = np.array([[1.0, 0.01], [0.01, 1.0]])
     assert np.isclose(separation_index(S), -40.0, atol=1e-12)

@@ -29,7 +29,7 @@ from bsskit import (
     unfold,
     whiten,
 )
-from bsskit.moments import _PAIR_BLOCK, _symmetrize4
+from bsskit.moments import _PAIR_BLOCK, _pair_gram, _symmetrize4
 
 
 def exact_tensor(c4s):
@@ -181,6 +181,30 @@ def test_cum4_is_multilinear(n, samples, seed):
     Q = random_orthogonal(n, seed)
     direct = estimate_cum4(Q @ X).values
     assert np.max(np.abs(direct - tucker_transform(estimate_cum4(X), Q).values)) < 1e-10
+
+
+@pytest.mark.parametrize("T", [1, _PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1])
+@pytest.mark.parametrize("with_mean", [False, True])
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_pair_gram_holds_every_fourth_and_second_moment(T, with_mean, with_transform):
+    # z = transform @ (x - mean), each part left out when not given; the
+    # transform is rectangular, as a whitener's is below full rank
+    rng = np.random.default_rng(T)
+    X = rng.laplace(size=(3, T)) + rng.standard_normal((3, 1))
+    mean = rng.standard_normal(3) if with_mean else None
+    transform = rng.standard_normal((2, 3)) if with_transform else None
+    Z = X if mean is None else X - mean[:, None]
+    Z = Z if transform is None else transform @ Z
+    K = len(Z)
+    want4 = np.einsum("it,jt,kt,lt->ijkl", Z, Z, Z, Z) / T
+    want2 = Z @ Z.T / T
+    m4, m2 = _pair_gram(X, mean, transform)
+    assert m4.shape == (K * K, K * K) and m2.shape == (K, K)
+    assert np.max(np.abs(m4 - want4.reshape(K * K, K * K))) <= 1e-12 * np.max(np.abs(want4))
+    assert np.max(np.abs(m2 - want2)) <= 1e-12 * np.max(np.abs(want2))
+    # permuted index quadruples read one stored sum
+    V = m4.reshape(K, K, K, K)
+    assert np.array_equal(V, V.transpose(1, 0, 2, 3)) and np.array_equal(V, V.transpose(2, 3, 0, 1))
 
 
 def test_cum4_never_builds_a_pair_product_array():

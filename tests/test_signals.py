@@ -184,8 +184,8 @@ def test_adopted_signal_keeps_the_checks():
     with pytest.raises(InvalidSpec):
         SignalMatrix._adopt(np.array([[1.0, np.inf]]))
     a = np.ones((2, 3))
-    M = SignalMatrix._adopt(a, transient_prefix=1)
-    assert M.data is a and not a.flags.writeable and M.transient_prefix == 1
+    M = SignalMatrix._adopt(a)
+    assert M.data is a and not a.flags.writeable
 
 
 def test_static_mix_identity():
@@ -219,7 +219,6 @@ def test_convolutive_impulse_response():
     U = mix(MixingModel("convolutive", taps=taps), A)
     assert np.allclose(U.data[:, 0], A.data[:, 0])
     assert np.allclose(U.data[:, 1], A.data[:, 1] + 0.5 * A.data[:, 0])
-    assert U.transient_prefix == 1
 
 
 def test_source_count_is_the_column_count_of_the_matrix_or_taps():
@@ -435,4 +434,3 @@ def test_convolution_with_more_taps_than_samples():
     U = convolve_mimo([np.array([[2.0 ** k]]) for k in range(5)], A)
     # u(n) = sum over k <= n of 2^k a(n - k); taps 3 and 4 never reach a sample
     assert np.array_equal(U.data, [[1.0, 4.0, 11.0]])
-    assert U.transient_prefix == 4

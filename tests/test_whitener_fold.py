@@ -1,6 +1,6 @@
 """Statistics read from raw data through a fitted whitener.
 
-estimate_cum4, deflate_extract and amuse read raw sensor data through
+estimate_cum4, deflate_extract, amuse and jade read raw sensor data through
 fit_whitener's transform, block by block, instead of building the sphered
 copy.  Each is checked here against the path it replaces, whiten and then
 the statistic of the sphered data, and against a sample-length allocation.
@@ -23,6 +23,8 @@ from bsskit import (
     fastica_step,
     fit_whitener,
     generate_sources,
+    jade,
+    jade_rotation,
     make_score,
     mix,
     sample_covariance,
@@ -133,6 +135,17 @@ def test_amuse_through_the_whitener_matches_whiten_then_amuse(case, lag):
     assert relative_gap(amuse(X, lag=lag).matrix, whitened_amuse(X, lag)) < FOLD_TOLERANCE
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_jade_through_the_whitener_matches_whiten_then_jade(case):
+    # jade as it read before the fold: the joint diagonalizer of the sphered data's cumulant slices
+    H, offset = CASES[case]
+    X = mixture(["uniform"] * H.shape[1], H, offset)
+    w, Z = whiten(X)
+    sep = jade(X)
+    assert sep.whitener.detected_rank == w.detected_rank
+    assert relative_gap(sep.matrix, jade_rotation(estimate_cum4(Z)).T @ w.matrix) < FOLD_TOLERANCE
+
+
 # name -> call on (data, whitener fitted to it before tracing starts)
 ALLOCATIONS = {
     "fit_whitener": lambda X, w: fit_whitener(X),
@@ -143,6 +156,7 @@ ALLOCATIONS = {
     "tanh_extraction_through_a_whitener": lambda X, w: deflate_extract(
         X, lambda: make_score("tanh"), count=4, whitener=w),
     "amuse": lambda X, w: amuse(X),
+    "jade": lambda X, w: jade(X),
 }
 
 
