@@ -14,7 +14,6 @@ from .adaptive import (
     adaptive_update,
     batch_update_direction,
     bussgang_residual,
-    nonlinear_pca_update,
     run_separation,
     stability_check,
     universal_criterion,

@@ -129,16 +129,6 @@ def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):
     return _polar(G) if cfg.mode == "nonlinear_pca" else G
 
 
-def nonlinear_pca_update(G, u, scores, step_size: float):
-    """Nonlinear PCA rule on sphered data, with polar re-orthonormalization.
-
-    G += mu f(y) [u - G^T f(y)]^T, then G is projected back onto the
-    orthogonal manifold through its polar factor, keeping rows orthonormal
-    at every step.
-    """
-    return adaptive_update(G, u, scores, AdaptConfig(step_size=step_size, mode="nonlinear_pca"))
-
-
 def batch_update_direction(G, U, scores, mode: str, g_scores=None):
     """Batch-averaged update direction (the expectation the per-sample
     updates follow); used for gradient and stationarity checks.

@@ -1,10 +1,11 @@
 """Algebraic separation: tensor decompositions of the fourth-order cumulant.
 
-Everything here manipulates the estimated (or exact) cumulant tensor rather
-than streaming data: Jacobi rotations that concentrate its mass on the
-diagonal, joint diagonalization of eigenmatrices, higher-order EVD and power
-method, unconstrained PARAFAC, the two-stage rank-one initializer, and the
-constant-modulus solvers built on the same Kronecker-square structure.
+Most of it works on the estimated (or exact) cumulant tensor: Jacobi
+rotations that concentrate its mass on the diagonal, joint diagonalization
+of eigenmatrices, higher-order EVD, the power method (on fixedpoint's unit
+search), unconstrained PARAFAC and the two-stage rank-one initializer.  The
+constant-modulus solvers built on the same Kronecker-square structure,
+unimodal_equalizer and deterministic_cm, stream the data themselves.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .errors import (
     ZeroContraction,
     ZeroUpdate,
 )
-from .fixedpoint import _check_stop_rule
-from .moments import (Cumulant4Tensor, _contract3, _pair_products, cumulant_matrix, estimate_cum4, tucker_transform,
-                      unfold)
-from .second_order import Separator, Whitener, _sorted_eigh, fit_whitener, fix_signs, whiten
+from .fixedpoint import _check_stop_rule, _unit, _unit_search
+from .moments import Cumulant4Tensor, _contract3, _cum4, _pair_products, cumulant_matrix, tucker_transform, unfold
+from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs, whiten
 from .signals import _as_data, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
@@ -161,11 +161,11 @@ def jade(U) -> Separator:
     """Separate raw data by joint diagonalization of cumulant slices.
 
     Fits a whitener to U and reads the cumulant tensor of the sphered data
-    from U through it (estimate_cum4), so no sphered copy is built.  The
-    returned separator folds the whitener in and applies to U.
+    from U through it, as estimate_cum4 does, checking U once and building
+    no sphered copy.  The returned separator folds the whitener in.
     """
-    whitener = fit_whitener(U)
-    Q = jade_rotation(estimate_cum4(U, whitener=whitener))
+    whitener, X = _fitted(U)
+    Q = jade_rotation(_cum4(X, whitener.mean, whitener.matrix))
     return Separator(matrix=Q.T @ whitener.matrix, whitener=whitener)
 
 
@@ -187,11 +187,13 @@ def hoevd(C: Cumulant4Tensor):
 def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: float = 1e-12):
     """Higher-order power method for the dominant symmetric rank-1 term.
 
-    Iterates g <- C . g . g . g (contraction on three modes), normalized
-    each step; convergence is on the direction, so eigenvalue sign flips do
-    not stall it.  Returns (lambda, g) with lambda = C contracted with g on
-    all four modes.  The direction settles once 1 - |<g+, g>| < tolerance,
-    with 0 < tolerance < 1.
+    Iterates g <- C . g . g . g (contraction on three modes) in
+    fixedpoint._unit_search, the loop every deflation unit runs, from the
+    leading HO-EVD factor or ``init``.  Convergence is on the direction, so
+    eigenvalue sign flips do not stall it: 1 - |<g+, g>| < tolerance, with
+    0 < tolerance < 1.  Returns (lambda, g), g sign-fixed and lambda = C
+    contracted with g on all four modes.  ZeroUpdate when init or a
+    contraction vanishes.
     """
     _check_stop_rule(max_iterations, tolerance)
     V = C.values.reshape(C.dim**2, -1)  # the 2x2 unfolding
@@ -201,22 +203,10 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
         g = np.asarray(init, dtype=float).ravel()
         if g.shape != (C.dim,):
             raise DimensionMismatch(f"init has shape {g.shape} for dimension {C.dim}")
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            raise ZeroUpdate("init vector has zero norm")
-        g = g / norm
-    for _ in range(max_iterations):
-        t = _contract3(V, g)
-        norm = np.linalg.norm(t)
-        if norm < 1e-12:
-            raise ZeroContraction(f"contraction norm {norm:.3e} vanished")
-        g_new = t / norm
-        if 1.0 - abs(float(g_new @ g)) < tolerance:
-            g = fix_signs(g_new)
-            gg = np.outer(g, g).ravel()
-            return float(gg @ V @ gg), g
-        g = g_new
-    raise NotConverged(f"power method did not settle in {max_iterations} iterations")
+        g = _unit(g)
+    g = _unit_search(lambda g: _contract3(V, g), g, np.empty((0, C.dim)), max_iterations, tolerance)
+    gg = np.outer(g, g).ravel()
+    return float(gg @ V @ gg), g
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ import numpy as np
 from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
 from .algebraic import UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init, unimodal_equalizer
 from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
-from .fixedpoint import VARIANTS, cma, deflate_extract
+from .fixedpoint import DEFLATION_VARIANTS, cma, deflate_extract
 from .metrics import _clamped_db, separation_index
 from .moments import estimate_cum4
 from .scores import SCORE_KINDS, make_score
@@ -341,9 +341,7 @@ ALGORITHMS = {
     "amuse": (_amuse, {"lag": int, "gap_tolerance": float}),
     "adaptive": (_adaptive, {"step_size": float, "mode": MODES, "score": SCORE_KINDS, "epochs": int,
                              "convergence_tolerance": float, "init": INITS, "init_seed": int}),
-    # fastica's gradient variant needs a step size mu, which the scenario has no key for
-    "fastica": (_fastica, {"variant": tuple(v for v in VARIANTS if v != "gradient"),
-                           "score": SCORE_KINDS, **_ITERATIONS}),
+    "fastica": (_fastica, {"variant": DEFLATION_VARIANTS, "score": SCORE_KINDS, **_ITERATIONS}),
     "jade": (_jade, {}),
     "jacobi": (_jacobi, {"sweep_tolerance": float, "max_sweeps": int}),
     "sea": (_fastica, _ITERATIONS),  # fastica with its newton variant and cubic score

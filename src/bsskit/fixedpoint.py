@@ -1,14 +1,14 @@
 """One-unit extraction: fixed-point iterations, deflation, CMA steps.
 
 All routines here work in sphered coordinates on a single demixing vector g;
-full separators are assembled by deflating one unit at a time.
+full separators are assembled by deflating one unit at a time.  Every
+deflation unit and algebraic.hopm run one loop, _unit_search, which raises
+ZeroUpdate when a step, or what deflation leaves of it, vanishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
@@ -32,6 +32,7 @@ _CMA_BLOCK = 64
 _MOMENT_MAX_N = 24
 
 VARIANTS = ("newton", "fixed_point", "gradient")
+DEFLATION_VARIANTS = VARIANTS[:2]  # the gradient variant needs a step size, which deflation does not take
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,17 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     if variant == "gradient" and mu is None:
         raise InvalidSpec("gradient variant needs a step size mu")
     X = _as_data(U)
-    M, T = X.shape
-    W, m = (np.eye(M), np.zeros(M)) if whitener is None else whitener._affine(X)
+    W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
     g = np.asarray(state.g, dtype=float)
     if g.shape != (len(W),):
         raise DimensionMismatch(f"g has shape {g.shape} for {len(W)} channels")
+    g_plus, beta = _streamed_step(g, X, W, m, score, variant, mu)
+    return OneUnitState(g=fix_signs(_unit(g_plus)), beta=beta, iteration=state.iteration + 1)
+
+
+def _streamed_step(g, X, W, m, score, variant: str, mu=None):
+    """fastica_step's (g+, beta), g+ unnormalized, on data X already checked, read as u = W (x - m)."""
+    M, T = X.shape
     a, shift = W.T @ g, float(g @ (W @ m))
     y = None
     if score.keeps_state:
@@ -99,38 +106,54 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     euf = W @ (xf / T - m * (fs / T))
     beta = yf / T
     if newton:
-        g_plus = euf - (fp / T) * g
-    elif variant == "fixed_point":
-        g_plus = euf
-    else:
-        g_plus = g + mu * (euf - beta * g)
-    return _stepped(g_plus, beta, state)
-
-
-def _stepped(g_plus, beta: float, state: OneUnitState) -> OneUnitState:
-    """The state after a step to g_plus: normalized and sign-fixed."""
-    norm = np.linalg.norm(g_plus)
-    if norm < _NORM_FLOOR:
-        raise ZeroUpdate(f"update norm {norm:.3e} below {_NORM_FLOOR:.0e}")
-    g_plus = fix_signs(g_plus / norm)
-    return OneUnitState(g=g_plus, beta=beta, iteration=state.iteration + 1)
+        return euf - (fp / T) * g, beta
+    if variant == "fixed_point":
+        return euf, beta
+    return g + mu * (euf - beta * g), beta
 
 
 def _cubic_moment_step(m4: np.ndarray, m2: np.ndarray, newton: bool):
-    """fastica_step for CubicScore as a contraction of the data's moments.
+    """_streamed_step's g+ for CubicScore as a contraction of the data's moments.
 
     The data are read once, by _pair_gram, into m4, the unfolding of every
     E[u_i u_j u_k u_l], and m2 = E[u u^T].  A step then costs O(N^4) and
-    reads neither: E[u y^3] = m4 . g . g . g (_contract3),
-    beta = E[y^4] = g.E[u y^3] and E[y^2] = g.m2 g.
+    reads neither: E[u y^3] = m4 . g . g . g (_contract3) and
+    E[y^2] = g.m2 g.
     """
-    def step(state: OneUnitState) -> OneUnitState:
-        g = state.g
+    def step(g):
         euy3 = _contract3(m4, g)
-        g_plus = euy3 - (3.0 * float(g @ m2 @ g)) * g if newton else euy3
-        return _stepped(g_plus, float(g @ euy3), state)
+        return euy3 - (3.0 * float(g @ m2 @ g)) * g if newton else euy3
 
     return step
+
+
+def _unit(g: np.ndarray, found: np.ndarray | None = None) -> np.ndarray:
+    """g without its components along the orthonormal rows of ``found``, normalized; ZeroUpdate if it vanishes."""
+    if found is not None:
+        g = g - found.T @ (found @ g)
+    norm = np.linalg.norm(g)
+    if norm < _NORM_FLOOR:
+        raise ZeroUpdate(f"direction norm {norm:.3e} below {_NORM_FLOOR:.0e}")
+    return g / norm
+
+
+def _unit_search(step, g: np.ndarray, found: np.ndarray, max_iterations: int, tolerance: float) -> np.ndarray:
+    """Iterate g <- step(g) on the unit sphere from a unit g orthogonal to the orthonormal rows of ``found``.
+
+    Each iteration normalizes g+ = step(g), deflates it against found and
+    normalizes again (_unit), until 1 - |<g+, g>| < tolerance.  The result
+    is sign-fixed once: every step is odd in g and negation is exact, so
+    that equals fixing it every iteration.  NotConverged(index=len(found))
+    at the cap.
+    """
+    for _ in range(max_iterations):
+        g_plus = _unit(step(g))
+        if len(found):
+            g_plus = _unit(g_plus, found)
+        if 1.0 - abs(float(g_plus @ g)) < tolerance:
+            return fix_signs(g_plus)
+        g = g_plus
+    raise NotConverged(f"unit {len(found)} did not settle in {max_iterations} iterations", index=len(found))
 
 
 def _check_stop_rule(max_iterations: int, tolerance: float, upper: float = 1.0):
@@ -156,14 +179,16 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
 
     ``score`` is either a ScoreFunction instance (shared across units) or a
     zero-argument callable producing a fresh instance per unit, which is the
-    right choice for state-tracking scores.  Each unit iterates until the
-    direction settles: |<g_k+1, g_k>| > 1 - tolerance, with 0 < tolerance < 1.
+    right choice for state-tracking scores.  Each unit runs _unit_search
+    from a seeded random start, deflated against the units found so far,
+    until the direction settles: 1 - |<g_k+1, g_k>| < tolerance, with
+    0 < tolerance < 1.  Only the newton and fixed_point variants run here.
 
-    A unit whose score is exactly CubicScore, under the newton or
-    fixed_point variant, on at most _MOMENT_MAX_N channels, runs on the
-    data's fourth moments: the data are read once for all such units, and
-    each step is an O(N^4) contraction (see _cubic_moment_step).  Every other
-    unit streams the data through fastica_step on each step.  With a fitted
+    A unit whose score is exactly CubicScore, on at most _MOMENT_MAX_N
+    channels, runs on the data's fourth moments: the data are read once for
+    all such units, and each step is an O(N^4) contraction (see
+    _cubic_moment_step).  Every other unit streams the data on each step,
+    as fastica_step does, without re-checking them.  With a fitted
     ``whitener``, U is raw data read through it as fastica_step reads it,
     count is at most its detected_rank, and the result applies to U.
 
@@ -177,47 +202,32 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     N = len(W)
     if not (1 <= count <= N):
         raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
+    if variant not in DEFLATION_VARIANTS:
+        raise InvalidSpec(f"variant must be one of {DEFLATION_VARIANTS}, got {variant!r}")
     _check_stop_rule(max_iterations, tolerance)
     moment_step = m2 = floor = None
     rng = np.random.default_rng(seed)
     units = np.empty((count, N))
     for r in range(count):
         unit_score = score() if callable(score) else score
-        if type(unit_score) is CubicScore and variant in ("newton", "fixed_point") and N <= _MOMENT_MAX_N:
+        if type(unit_score) is CubicScore and N <= _MOMENT_MAX_N:
             if moment_step is None:
                 m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
                 moment_step = _cubic_moment_step(m4, m2, newton=variant == "newton")
             step = moment_step
         else:
-            step = partial(fastica_step, U=U, score=unit_score, variant=variant, whitener=whitener)
-        state = OneUnitState(g=_deflated(rng.standard_normal(N), units, r))
-        for _ in range(max_iterations):
-            prev = state.g
-            state = step(state)
-            if r:  # the step built state.g afresh, so it is deflated in place
-                state.g[:] = fix_signs(_deflated(state.g, units, r))
-            if abs(float(state.g @ prev)) > 1.0 - tolerance:
-                break
-        else:
-            raise NotConverged(f"unit {r} did not settle in {max_iterations} iterations", index=r)
+            def step(g, unit_score=unit_score):
+                return _streamed_step(g, X, W, m, unit_score, variant)[0]
+        found = units[:r]
+        g = _unit_search(step, _unit(rng.standard_normal(N), found), found, max_iterations, tolerance)
         if m2 is None:  # only streamed units so far: one pass for E[u u^T]
             m2 = W @ _covariance(X, m) @ W.T
         if floor is None:
             floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
-        if state.g @ m2 @ state.g < floor:
+        if g @ m2 @ g < floor:
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
-        units[r] = state.g
+        units[r] = g
     return Separator(matrix=units @ W, whitener=whitener)
-
-
-def _deflated(g: np.ndarray, units: np.ndarray, r: int) -> np.ndarray:
-    """Unit r's g without its components along the orthonormal units[:r] found so far, normalized."""
-    found = units[:r]
-    g = g - found.T @ (found @ g)
-    norm = np.linalg.norm(g)
-    if norm < _NORM_FLOOR:
-        raise ZeroUpdate(f"unit {r} vanished after deflation")
-    return g / norm
 
 
 def _modulus_error(y: float, step_size: float) -> float:

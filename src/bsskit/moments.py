@@ -175,7 +175,12 @@ def estimate_cum4(U, whitener=None) -> Cumulant4Tensor:
     tensor of whitener.apply(U).
     """
     X = _as_data(U)
-    m4, m2 = _pair_gram(X, X.mean(axis=1), None if whitener is None else whitener._affine(X)[0])
+    return _cum4(X, X.mean(axis=1), None if whitener is None else whitener._affine(X)[0])
+
+
+def _cum4(X: np.ndarray, mean: np.ndarray, transform: np.ndarray | None) -> Cumulant4Tensor:
+    """estimate_cum4 on data X already checked: the cumulant tensor of transform @ (x - mean)."""
+    m4, m2 = _pair_gram(X, mean, transform)
     N = len(m2)
     cum = (
         m4.reshape(N, N, N, N)

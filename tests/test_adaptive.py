@@ -23,7 +23,6 @@ from bsskit import (
     global_system,
     make_score,
     mix,
-    nonlinear_pca_update,
     run_separation,
     separation_index,
     stability_check,
@@ -137,10 +136,10 @@ def test_nonlinear_pca_zero_residual_and_orthonormality():
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     u = rng.standard_normal(3)
     # perfect reconstruction with the linear score: G^T y = u when G orthogonal
-    G2 = nonlinear_pca_update(Q, u, [LinearScore()] * 3, step_size=0.05)
+    cfg = AdaptConfig(step_size=0.05, mode="nonlinear_pca")
+    G2 = adaptive_update(Q, u, [LinearScore()] * 3, cfg)
     assert np.allclose(G2, Q, atol=1e-12)
-    G3 = nonlinear_pca_update(Q + 0.01 * rng.standard_normal((3, 3)), u,
-                              [CubicScore()] * 3, step_size=0.05)
+    G3 = adaptive_update(Q + 0.01 * rng.standard_normal((3, 3)), u, [CubicScore()] * 3, cfg)
     assert np.linalg.norm(G3 @ G3.T - np.eye(3)) < 1e-10
 
 
@@ -315,3 +314,30 @@ def test_adapt_config_validation():
     for tolerance in (0.0, -1.0, np.nan):  # a run that could never stop early
         with pytest.raises(InvalidSpec):
             AdaptConfig(convergence_tolerance=tolerance)
+
+
+# id: (a call the module refuses, the error it raises)
+ADAPTIVE_FAILURES = {
+    "unknown_init": (lambda: AdaptConfig(init="sideways"), InvalidSpec),
+    "criterion_of_a_non_square_G": (
+        lambda: universal_criterion(np.ones((2, 3)), np.ones((3, 4)), [CubicScore()] * 2), DimensionMismatch),
+    "plain_update_at_a_singular_G": (
+        lambda: adaptive_update(np.zeros((2, 2)), np.ones(2), [CubicScore()] * 2, AdaptConfig(mode="plain")),
+        SingularG),
+    "anti_hebbian_update_without_g_scores": (
+        lambda: adaptive_update(np.eye(2), np.ones(2), [CubicScore()] * 2, AdaptConfig(mode="anti_hebbian")),
+        InvalidSpec),
+    "batch_direction_of_an_unknown_mode": (
+        lambda: batch_update_direction(np.eye(2), exact_bpsk_pair(), [CubicScore()] * 2, "sideways"), InvalidSpec),
+    # f = 0 makes each relative step G + mu G: G grows 41-fold a sample, to
+    # about 4e6 after the four samples, far from overflowing
+    "epoch_ending_above_the_divergence_norm": (
+        lambda: run_separation(exact_bpsk_pair(), [FlatScore(), FlatScore()], AdaptConfig(step_size=40.0)),
+        Diverged),
+}
+
+
+@pytest.mark.parametrize("call, error", ADAPTIVE_FAILURES.values(), ids=ADAPTIVE_FAILURES.keys())
+def test_adaptive_failures_are_typed(call, error):
+    with pytest.raises(error):
+        call()

@@ -16,7 +16,9 @@ from bsskit import (
     MixingModel,
     NotConverged,
     RankDeficient,
+    SingularLS,
     SourceSpec,
+    ZeroContraction,
     ZeroUpdate,
     deterministic_cm,
     estimate_cum4,
@@ -31,6 +33,7 @@ from bsskit import (
     joint_diagonalize,
     kruskal_check,
     mix,
+    ParafacFactors,
     parafac_als,
     psi4_contrast,
     rank1_init,
@@ -979,3 +982,35 @@ def test_det_cm_without_refinement_stops_at_the_projection_vertex():
     # on non-CM data the Gauss-Newton stage moves g and lowers the residual
     refined = deterministic_cm(X)
     assert refined.residual < vertex.residual - 1e-3
+
+
+def _rank2_tensor():
+    Q = random_orthogonal(3, 60)
+    return tucker_transform(diag_tensor([-2.0, -1.2, 0.0]), Q)
+
+
+# id: (a call the module refuses, the error it raises)
+ALGEBRAIC_FAILURES = {
+    "jacobi_on_a_1_dimensional_tensor": (lambda: jacobi_diagonalize(diag_tensor([-2.0])), InvalidSpec),
+    "joint_diagonalize_of_non_square_matrices": (lambda: joint_diagonalize([np.ones((2, 3))]), DimensionMismatch),
+    "hopm_init_of_the_wrong_shape": (lambda: hopm(_rank2_tensor(), init=np.ones(2)), DimensionMismatch),
+    "hopm_init_of_zero_norm": (lambda: hopm(_rank2_tensor(), init=np.zeros(3)), ZeroUpdate),
+    "hopm_on_a_zero_tensor": (lambda: hopm(diag_tensor([0.0, 0.0, 0.0])), ZeroUpdate),
+    "kruskal_check_of_a_float": (lambda: kruskal_check(2.0, 1), InvalidSpec),
+    "parafac_from_two_equal_columns": (
+        lambda: parafac_als(_rank2_tensor(), 2, init=ParafacFactors(np.ones((3, 2)) / math.sqrt(3.0), np.ones(2))),
+        SingularLS),
+    "cumulant_power_from_a_zero_leading_window": (
+        lambda: _cum_unfolding_power(np.array([[0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])), ZeroContraction),
+    # thirteen samples of 1 and two of 2 have E[x^4] = 3 exactly: no excess kurtosis
+    "cumulant_power_on_a_zero_cumulant": (
+        lambda: _cum_unfolding_power(np.array([[1.0] * 13 + [2.0, -2.0]])), ZeroContraction),
+    "unimodal_without_epochs": (
+        lambda: unimodal_equalizer(bpsk_product(3), 0.01, 0.1, 2, epochs=0), InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("call, error", ALGEBRAIC_FAILURES.values(), ids=ALGEBRAIC_FAILURES.keys())
+def test_algebraic_failures_are_typed(call, error):
+    with pytest.raises(error):
+        call()

@@ -282,6 +282,36 @@ def test_eval_scores_an_all_zero_separator_worst(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["index_db"] == 120.0
 
 
+def test_an_unreadable_scenario_file_is_a_config_error(tmp_path):
+    assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+
+
+# id: (separator file, mixing file) of an eval that cannot score
+EVAL_REFUSALS = {
+    "unreadable_separator": ("missing", "h"),
+    "shapes_that_do_not_compose": ("wide", "h"),
+    "product_beyond_the_float_range": ("huge", "huge"),
+}
+
+
+@pytest.mark.parametrize("separator, mixing", EVAL_REFUSALS.values(), ids=EVAL_REFUSALS.keys())
+def test_eval_refuses_what_it_cannot_score(tmp_path, capsys, separator, mixing):
+    write_signals(tmp_path / "h.txt", np.array([[1.0, 0.4], [-0.3, 2.0]]))
+    write_signals(tmp_path / "wide.txt", np.ones((2, 3)))
+    write_signals(tmp_path / "huge.txt", np.full((2, 2), 1e308))
+    assert main(["eval", "--separator", str(tmp_path / f"{separator}.txt"),
+                 "--mixing", str(tmp_path / f"{mixing}.txt")]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_a_non_finite_index_is_a_diverged_record(tmp_path, monkeypatch):
+    monkeypatch.setitem(ALGORITHMS, "jade", (lambda m, params: (float("nan"), None, None), {}))
+    out = tmp_path / "r.jsonl"
+    assert main(["run", put(tmp_path, THREE_BPSK + "algorithm = jade\n"), "--out", str(out)]) == 3
+    recs = [_strict_json(line) for line in out.read_text().splitlines()]
+    assert [(rec["status"], rec["index_db"]) for rec in recs] == [("Diverged", None)]
+
+
 def test_environment_seed_override(tmp_path, monkeypatch):
     scenario = put(tmp_path, ADAPTIVE_SCENARIO)
     out_a = tmp_path / "a.jsonl"
@@ -543,6 +573,20 @@ CANNOT_RUN = {
     "adaptive_nonlinear_pca_on_a_wide_mixing": (
         _swap(TALL_NONLINEAR_PCA, "1 0.3 ; 0.2 1 ; 0.5 -0.4", "1 0.3 0.1 ; 0.2 1 0.4") + "source.3.kind = uniform\n",
         None, SAMPLES),
+    "missing_samples": (_swap(ORTHOGONAL, "samples = 2000\n", ""), None, ["--param", "seed", "--values", "1,2"]),
+    "negative_seed": (_swap(ORTHOGONAL, "seed = 1", "seed = -1"), ORTHOGONAL, ["--param", "seed", "--values", "1,-1"]),
+    "no_samples": (
+        _swap(ORTHOGONAL, "samples = 2000", "samples = 0"), ORTHOGONAL, ["--param", "samples", "--values", "2000,0"]),
+    "negative_repetitions": (
+        _swap(ORTHOGONAL, "repetitions = 2", "repetitions = -1"),
+        ORTHOGONAL, ["--param", "repetitions", "--values", "2,-1"]),
+    "unknown_mixing": (
+        _swap(ORTHOGONAL, "= random_orthogonal", "= spiral"),
+        ORTHOGONAL, ["--param", "mixing", "--values", "random_orthogonal,spiral"]),
+    "source_key_beyond_the_source_count": (ORTHOGONAL + "source.3.ar_coefficient = 0.5\n", None, SAMPLES),
+    "static_without_its_matrix": (
+        _swap(ORTHOGONAL, "= random_orthogonal", "= static"),
+        ORTHOGONAL, ["--param", "mixing", "--values", "random_orthogonal,static"]),
 }
 
 

@@ -27,12 +27,13 @@ from bsskit import (
     fastica_step,
     fix_signs,
     generate_sources,
+    hopm,
     make_score,
     mix,
     separation_index,
     whiten,
 )
-from bsskit import fixedpoint
+from bsskit import algebraic, fixedpoint
 from bsskit.fixedpoint import _CMA_BLOCK, _MOMENT_MAX_N, _NORM_FLOOR, _STEP_BLOCK
 from bsskit.moments import _PAIR_BLOCK, _as_data
 
@@ -455,17 +456,17 @@ def test_units_beyond_the_data_rank_are_rank_deficient(kind):
 def test_only_cubic_units_up_to_the_bound_skip_the_streamed_step(monkeypatch, kind, N, streams):
     X = moment_test_data(N, 2_000, seed=0)
     calls = []
-    step = fixedpoint.fastica_step
+    step = fixedpoint._streamed_step  # the core fastica_step wraps
 
     def counted(*args, **kwargs):
         calls.append(1)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(fixedpoint, "fastica_step", counted)
+    monkeypatch.setattr(fixedpoint, "_streamed_step", counted)
     for variant in ("newton", "fixed_point"):
         calls.clear()
         try:  # on Laplace sources the fixed_point units may not settle
-            reference_deflate_extract(X, lambda: make_score(kind), N, variant=variant, step=counted)
+            reference_deflate_extract(X, lambda: make_score(kind), N, variant=variant)
         except NotConverged:
             pass
         iterations = len(calls)
@@ -476,6 +477,32 @@ def test_only_cubic_units_up_to_the_bound_skip_the_streamed_step(monkeypatch, ki
             pass
         assert iterations >= N
         assert len(calls) == (iterations if streams else 0), variant
+
+
+@pytest.mark.parametrize("kind", ["cubic", "tanh"])
+def test_each_unit_and_each_hopm_call_fixes_its_sign_once(monkeypatch, kind):
+    # every step is odd in g, so the unit search fixes the sign of its result only
+    calls = []
+
+    def counted(vectors, original=fix_signs):
+        calls.append(1)
+        return original(vectors)
+
+    monkeypatch.setattr(fixedpoint, "fix_signs", counted)
+    monkeypatch.setattr(algebraic, "fix_signs", counted)  # hoevd's is not run: hopm gets an init
+    X = moment_test_data(8, 20_000, seed=1)
+    deflate_extract(X, lambda: make_score(kind), 8)
+    assert len(calls) == 8
+    calls.clear()
+    hopm(estimate_cum4(X), init=np.ones(8))
+    assert len(calls) == 1
+
+
+def test_a_unit_that_deflation_annihilates_is_a_zero_update():
+    # the step lands in the span of the units found, so nothing is left of it
+    found = np.eye(3)[:2]
+    with pytest.raises(ZeroUpdate):
+        fixedpoint._unit_search(lambda g: found[0] + 2.0 * found[1], np.eye(3)[2], found, 10, 1e-10)
 
 
 def test_gradient_and_empty_data_fail_before_the_data_are_read(monkeypatch):

@@ -104,3 +104,8 @@ def test_index_invariant_under_row_signs_and_a_common_scale(n, seed, scale):
     base = separation_index(S)
     assert separation_index(signs[:, None] * S) == base
     assert abs(separation_index(scale * S) - base) < 1e-12
+
+
+def test_a_one_dimensional_system_is_refused():
+    with pytest.raises(DimensionMismatch):
+        resolve_permutation_scale(np.ones(3))

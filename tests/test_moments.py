@@ -13,6 +13,7 @@ from bsskit import (
     Cumulant4Tensor,
     DegenerateChannel,
     DimensionMismatch,
+    InvalidSpec,
     LagTooLarge,
     SignalMatrix,
     SourceSpec,
@@ -335,3 +336,19 @@ def test_edgeworth_integrates_to_one():
     p = edgeworth_pdf(y, 0.1, 0.2)
     trapezoid = float(np.sum(np.diff(y) * (p[1:] + p[:-1]) / 2.0))
     assert trapezoid == pytest.approx(1.0, abs=1e-3)
+
+
+# id: (a call the module refuses, the error it raises)
+MOMENTS_FAILURES = {
+    "covariance_at_lag_minus_1": (lambda: sample_covariance(np.ones((2, 10)), -1), InvalidSpec),
+    "tucker_with_a_mismatched_matrix": (
+        lambda: tucker_transform(Cumulant4Tensor(np.zeros((3, 3, 3, 3))), np.eye(2)), DimensionMismatch),
+    "unfold_by_an_unknown_grouping": (lambda: unfold(Cumulant4Tensor(np.zeros((2, 2, 2, 2))), "3x1"), InvalidSpec),
+    "hermite_of_order_minus_1": (lambda: hermite(-1, 0.5), InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("call, error", MOMENTS_FAILURES.values(), ids=MOMENTS_FAILURES.keys())
+def test_moments_failures_are_typed(call, error):
+    with pytest.raises(error):
+        call()

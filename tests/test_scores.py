@@ -10,6 +10,7 @@ import pytest
 
 from bsskit import (
     AdaptConfig,
+    InvalidSpec,
     CubicScore,
     ScoreFunction,
     SignSwitchingScore,
@@ -17,7 +18,6 @@ from bsskit import (
     adaptive_update,
     batch_update_direction,
     make_score,
-    nonlinear_pca_update,
     run_separation,
     whiten,
 )
@@ -233,7 +233,8 @@ def test_nonlinear_pca_update_projects_the_one_column_direction():
     y = Q @ u
     f = y**3
     left, _, right = np.linalg.svd(Q + 0.05 * np.outer(f, u - Q.T @ f))
-    assert np.allclose(nonlinear_pca_update(Q, u, scores, 0.05), left @ right, rtol=0, atol=1e-12)
+    got = adaptive_update(Q, u, scores, AdaptConfig(step_size=0.05, mode="nonlinear_pca"))
+    assert np.allclose(got, left @ right, rtol=0, atol=1e-12)
     D = batch_update_direction(Q, u[:, None], scores, "nonlinear_pca")
     assert np.allclose(D, np.outer(f, u - Q.T @ f), rtol=0, atol=1e-12)
 
@@ -300,3 +301,17 @@ def test_run_separation_epoch_equals_repeated_per_sample_updates(mode, kind):
         G = adaptive_update(G, u, scores, cfg, g_scores=g_scores)
     expected = G if whitener is None else G @ whitener.matrix
     assert np.allclose(sep.matrix, expected, rtol=0, atol=1e-12)
+
+
+# id: (a call the module refuses, the error it raises)
+SCORES_FAILURES = {
+    "unknown_kind": (lambda: make_score("sideways"), InvalidSpec),
+    # the sign can flip, so no one density stands behind the score
+    "log_phi_of_the_sign_switching_score": (lambda: SignSwitchingScore().log_phi(np.ones(3)), InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("call, error", SCORES_FAILURES.values(), ids=SCORES_FAILURES.keys())
+def test_scores_failures_are_typed(call, error):
+    with pytest.raises(error):
+        call()

@@ -11,13 +11,18 @@ from bsskit import (
     DegenerateInput,
     DegenerateSpectra,
     DimensionMismatch,
+    InvalidSpec,
     MixingModel,
     Separator,
     SourceSpec,
     amuse,
+    deflate_extract,
+    fit_whitener,
     fix_signs,
     generate_sources,
     global_system,
+    jade,
+    make_score,
     mix,
     sample_covariance,
     separation_index,
@@ -115,10 +120,16 @@ def test_whitened_and_separated_signals_are_adopted_read_only():
         assert not np.shares_memory(signal.data, X)
 
 
-@pytest.mark.parametrize("step", [whiten, amuse])
+def whitened_tanh_units(U):
+    # the whitener is fitted on a copy, so only deflate_extract's checks of U count
+    return deflate_extract(U, lambda: make_score("tanh"), 2, whitener=fit_whitener(U.copy()))
+
+
+@pytest.mark.parametrize("step", [whiten, amuse, jade, whitened_tanh_units])
 def test_a_bare_array_is_checked_once(monkeypatch, step):
     # the finiteness pass reads every sample, so a bare array pays for it once;
-    # the sphered output whiten adopts is checked as well, as its own array
+    # the sphered output whiten adopts is checked as well, as its own array.
+    # Streamed deflation units step on the data deflate_extract checked.
     U = ar_pair(3, 5_000).data.copy()
     checked = []
 
@@ -224,3 +235,8 @@ def test_eigenpairs_are_read_off_in_one_place():
     # one eigh of its own, the floored sphering basis of M2
     calls = _eigen_solver_calls()
     assert sorted(calls) == [("algebraic.py", "deterministic_cm"), ("second_order.py", "_sorted_eigh")]
+
+
+def test_amuse_refuses_a_lag_below_1():
+    with pytest.raises(InvalidSpec):
+        amuse(ar_pair(4, 1_000), lag=0)

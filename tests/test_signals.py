@@ -434,3 +434,19 @@ def test_convolution_with_more_taps_than_samples():
     U = convolve_mimo([np.array([[2.0 ** k]]) for k in range(5)], A)
     # u(n) = sum over k <= n of 2^k a(n - k); taps 3 and 4 never reach a sample
     assert np.array_equal(U.data, [[1.0, 4.0, 11.0]])
+
+
+# id: (a call the module refuses, the error it raises)
+SIGNALS_FAILURES = {
+    "one_d_static_matrix": (lambda: MixingModel("static", matrix=np.ones(3)), DimensionMismatch),
+    "no_samples_to_generate": (lambda: generate_sources([SourceSpec("bpsk")], 0), InvalidSpec),
+    "no_source_specs": (lambda: generate_sources([], 100), InvalidSpec),
+    "window_stack_of_depth_0": (lambda: window_stack(np.ones((2, 10)), 0), InvalidSpec),
+    "lift_of_depth_0": (lambda: lift_convolutive((np.eye(2),), 0), InvalidSpec),
+}
+
+
+@pytest.mark.parametrize("call, error", SIGNALS_FAILURES.values(), ids=SIGNALS_FAILURES.keys())
+def test_signals_failures_are_typed(call, error):
+    with pytest.raises(error):
+        call()
