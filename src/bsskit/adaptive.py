@@ -94,16 +94,20 @@ def _direction(G, X, Y, mode, f, g=None):
         det = np.linalg.det(G)
         if abs(det) < _DET_FLOOR:
             raise SingularG(f"|det G| = {abs(det):.3e}; plain update undefined")
-        return np.linalg.inv(G).T - F.dot(X.T) / T
+        return np.linalg.inv(G).T - _mean(F.dot(X.T), T)
     if mode == "relative":
-        return G - F.dot(Y.T.dot(G)) / T
+        return G - _mean(F.dot(Y.T.dot(G)), T)
     if mode == "anti_hebbian":
         if g is None:
             raise InvalidSpec("anti_hebbian mode needs the second score family")
-        return G - F.dot(g(Y).T.dot(G)) / T
+        return G - _mean(F.dot(g(Y).T.dot(G)), T)
     if mode == "nonlinear_pca":
-        return F.dot((X - G.T.dot(F)).T) / T
+        return _mean(F.dot((X - G.T.dot(F)).T), T)
     raise InvalidSpec(f"no update direction for mode {mode!r}")
+
+
+def _mean(total, T):  # a sum over T samples divided by T; one sample's sum is its own mean, with no division
+    return total if T == 1 else total / T
 
 
 def _resolve(scores, g_scores, N):  # _direction's f and g for N channels; g is None without g_scores

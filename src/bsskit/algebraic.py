@@ -27,7 +27,7 @@ from .errors import (
     ZeroUpdate,
 )
 from .fixedpoint import _check_stop_rule, _unit, _unit_search
-from .moments import Cumulant4Tensor, _contract3, _cum4, _pair_products, cumulant_matrix, tucker_transform, unfold
+from .moments import Cumulant4Tensor, _contract3, _cum4, _cumulant_matrix, _pair_products, tucker_transform, unfold
 from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs, whiten
 from .signals import _as_data, window_stack
 
@@ -35,6 +35,9 @@ UNIMODAL_INITS = ("fourth_order", "zero")
 # windows per block of the unimodal equalizer's W recursion
 _UNIMODAL_BLOCK = 64
 _G_RANGE = np.finfo(float).tiny ** np.array([0.5, -0.5])  # norms of g whose squares are normal
+# _cum_unfolding_power's float32 passes stop once a pass moves V by less than
+# the first bound (max-abs change), its float64 passes by less than the second
+_INIT_SETTLED = (1e-4, 1e-13)
 
 
 def _pair_coefficients(t0, t1, t2, t3, t4):
@@ -352,23 +355,43 @@ def _cum_unfolding_power(Z, iterations: int = 16):
     # therefore followed by a matrix squaring: V @ V stays inside that
     # eigenspace while squaring the hidden diagonal profile, so the iterate
     # collapses onto a single rank-one vertex at double-exponential rate.
-    x0 = _as_data(Z)[:, 0]
+    # The early passes only pick that vertex, so they run on a float32 copy
+    # of Z until V settles to _INIT_SETTLED[0]; float64 passes then refine V
+    # to _INIT_SETTLED[1].  At most ``iterations`` passes run in all, and the
+    # last one is float64.
+    X = _as_data(Z)
+    x0 = X[:, 0]
     V = np.outer(x0, x0)  # anisotropic start; its hidden profile has a generic argmax
     norm = np.linalg.norm(V)
     if norm < 1e-15:
         raise ZeroContraction("leading window is zero")
     V /= norm
+    X32 = X.astype(np.float32)
+    _, V32, passes = _unfolding_passes(X32, V.astype(np.float32), _INIT_SETTLED[0], 0, iterations - 1)
+    del X32  # freed before the float64 passes
+    if passes:  # else V stays the exact float64 start
+        V = V32.astype(float)
+    lam, V, _ = _unfolding_passes(X, V, _INIT_SETTLED[1], passes, iterations)
+    return lam, V
+
+
+def _unfolding_passes(X, V, settled, passes, cap):
+    """_cum_unfolding_power's passes in the precision of X and V, until V moves
+    less than ``settled`` or the pass count reaches ``cap``; returns (eigenvalue, V, count)."""
     lam = 0.0
-    for _ in range(iterations):
-        W = cumulant_matrix(Z, V)
+    while passes < cap:
+        passes += 1
+        W = _cumulant_matrix(X, V)
         W = (W + W.T) / 2.0
         norm = np.linalg.norm(W)
         if norm < 1e-15:
             raise ZeroContraction("cumulant operator annihilated the iterate")
         lam = float(np.sum(V * W))
-        V = W @ W
+        V, previous = W @ W, V
         V /= np.linalg.norm(V)
-    return lam, V
+        if np.max(np.abs(V - previous)) < settled:
+            break
+    return lam, V, passes
 
 
 @dataclass(frozen=True)
@@ -391,9 +414,15 @@ class UnimodalResult:
     max_w_asymmetry: float
 
     def outputs(self, U) -> np.ndarray:
-        """Equalizer output sequence for a raw sensor stream."""
+        """Equalizer output sequence for a raw sensor stream.
+
+        One GEMV over the raw windows: y = a^T (x - m) = a^T x - a^T m with
+        a = T_w^T g, so no centred or sphered copy of the windows is built.
+        """
         windows = window_stack(U, self.window_length)
-        return self.g @ self.whitener.apply(windows).data
+        transform, mean = self.whitener._affine(windows)
+        a = self.g @ transform
+        return a @ windows - a @ mean
 
 
 def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
@@ -413,7 +442,11 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     member of its (degenerate) eigenspace and scaled so the modulus target
     matches.  That vertex is an exact fixed point of the W recursion for
     unit-modulus window content, so the online updates hold it in place.
-    ``init="zero"`` starts the recursion bare.
+    The eigenmatrix comes from at most 16 passes of the implicit cumulant
+    operator: the early passes, which only pick the vertex, run on a float32
+    copy of the sphered windows, and float64 passes finish it, so
+    ``eigenvalue`` and W are float64.  ``init="zero"`` starts the recursion
+    bare.
 
     The W recursion runs exactly, but a block X_b = [u_1 ... u_B] of B = 64
     windows at a time.  Window t's coefficient c_t = gain_t (1 - u_t^T W u_t)
@@ -458,9 +491,12 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     Z = np.empty((K + B, K))  # [I; X_b^T]
     Z[:K] = eye
     G = np.empty((B, K))  # g after each window of the block, normalized at the block's end
+    zg = np.empty(K + B)  # [g; X_b^T g] of one window
     # window t of a block reads the first K + t + 1 columns of A and rows of
     # Z; Fortran order keeps those column slices contiguous for ndarray.dot
-    steps = [(A[:, :K + t + 1], Z[:K + t + 1], G[t]) for t in range(B)]
+    steps = [(A[:, :K + t + 1], Z[:K + t + 1], zg[:K + t + 1], G[t]) for t in range(B)]
+    lower = np.tri(B, B, -1)  # strict-lower mask of the block system
+    previous = np.ones(B + 1)  # 1, then the norms of the block's g; g enters each block at norm 1
     g = np.zeros(K)
     g[0] = 1.0
     max_norm_dev = 0.0
@@ -473,19 +509,21 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
             gram = Xb.T @ Xb
             norm2 = np.diagonal(gram)
             gain = mu1 / (1.0 + mu1 * (norm2 * norm2))
-            M = np.tril(gram * gram, -1)
+            M = gram * gram
+            M *= lower[:m, :m]
             M *= gain[:, None]
             np.fill_diagonal(M, 1.0)
             c = np.linalg.solve(M, gain * (1.0 - np.einsum("it,it->t", W @ Xb, Xb)))
             np.add(eye, mu2 * W, out=A[:, :K])
             np.multiply(Xb, mu2 * c, out=A[:, K:K + m])
             Z[K:K + m] = Xb.T
-            for a, z, row in steps[:m]:
-                g = a.dot(z.dot(g), out=row)
+            for a, z, out, row in steps[:m]:
+                g = a.dot(z.dot(g, out=out), out=row)
             W += (Xb * c) @ Xb.T
             with np.errstate(over="ignore"):  # an overflow reads as an infinite norm
                 norms = np.linalg.norm(G[:m], axis=1)  # window t scaled g by norms[t] / norms[t - 1]
-            if np.any(norms < 1e-12 * np.append(1.0, norms[:-1])):
+            previous[1:m + 1] = norms
+            if np.any(norms < 1e-12 * previous[:m]):
                 raise ZeroUpdate("equalizer vector vanished")
             if not np.all((norms > _G_RANGE[0]) & (norms < _G_RANGE[1])):  # NaN fails too
                 raise Diverged(f"equalizer vector left the float range within a block at mu2 = {mu2}")

@@ -199,11 +199,19 @@ def cumulant_matrix(U, M) -> np.ndarray:
     (Cardoso & Souloumiac 1993).  Exact only when the data are sphered
     (zero mean, identity covariance).
     """
-    X = _as_data(U)
+    return _cumulant_matrix(_as_data(U), np.asarray(M, dtype=float))
+
+
+def _cumulant_matrix(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """cumulant_matrix on data X already checked, in the precision of X and M."""
     K, T = X.shape
-    s = np.einsum("it,it->t", M @ X, X)
-    W = (X * s) @ X.T / T
-    W -= np.trace(M) * np.eye(K) + 2.0 * M
+    MX = M @ X
+    s = np.einsum("it,it->t", MX, X)
+    W = np.multiply(X, s, out=MX) @ X.T  # X diag(s) in M X's buffer
+    W /= T
+    D = 2.0 * M
+    D.flat[::K + 1] += np.trace(M)  # tr(M) I + 2 M, with no float64 identity to upcast a float32 M
+    W -= D
     return W
 
 

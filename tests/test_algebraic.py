@@ -1,6 +1,7 @@
 """Tensor-algebra separation: Jacobi, JADE, HO-EVD/PM, PARAFAC, CM solvers."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bsskit import (
     SourceSpec,
     ZeroContraction,
     ZeroUpdate,
+    cumulant_matrix,
     deterministic_cm,
     estimate_cum4,
     fit_whitener,
@@ -667,6 +669,82 @@ def test_cum_unfolding_iterate_has_trace_at_least_one(seed, K, iterations):
     assert np.trace(V) >= 1.0 - 1e-12
 
 
+def reference_cum_unfolding_power(X, iterations=16):
+    # The fourth-order init as it ran before its float32 passes: every pass in
+    # float64 and no stop rule.  Also returns how far the last pass moved V.
+    x0 = X[:, 0]
+    V = np.outer(x0, x0)
+    V /= np.linalg.norm(V)
+    lam, moved = 0.0, np.inf
+    for _ in range(iterations):
+        W = cumulant_matrix(X, V)
+        W = (W + W.T) / 2.0
+        lam = float(np.sum(V * W))
+        V_next = W @ W
+        V_next /= np.linalg.norm(V_next)
+        moved, V = float(np.max(np.abs(V_next - V))), V_next
+    return lam, V, moved
+
+
+def counted_init(monkeypatch, X, *iterations):
+    # _cum_unfolding_power(X, *iterations), with the precision of every pass
+    # through the cumulant operator; the float32 copy of X must be gone before
+    # the first float64 pass
+    passes, copies = [], []
+    operator = algebraic._cumulant_matrix
+
+    def counted(Z, M):
+        assert M.dtype == Z.dtype  # nothing upcasts a float32 pass
+        if Z.dtype == np.float32:
+            copies.append(weakref.ref(Z))
+        else:
+            assert all(copy() is None for copy in copies)
+        passes.append(Z.dtype)
+        return operator(Z, M)
+
+    monkeypatch.setattr(algebraic, "_cumulant_matrix", counted)
+    lam, V = _cum_unfolding_power(X, *iterations)
+    assert V.dtype == np.float64 and isinstance(lam, float)
+    # float32 passes first, then float64 ones, the last pass always float64
+    f32 = passes.count(np.float32)
+    assert passes == [np.float32] * f32 + [np.float64] * (len(passes) - f32)
+    assert not passes or passes[-1] == np.float64
+    return lam, V, len(passes)
+
+
+def leading_vector(V):
+    return np.linalg.eigh(V)[1][:, -1]
+
+
+# benchmark-shaped channels (two BPSK sources, an order-5 FIR channel onto 4
+# sensors, L = 16): the 16 float64 passes settle at seeds 1 and 3, not at 12
+@pytest.mark.parametrize("seed", [1, 3, 12])
+def test_cum_unfolding_init_matches_the_float64_reference(seed, monkeypatch):
+    X = whiten(window_stack(convolutive_scene(seed, 20_000)[1], 16))[1].data
+    lam_ref, V_ref, moved = reference_cum_unfolding_power(X)
+    assert (moved < 1e-13) == (seed != 12)
+    lam, V, passes = counted_init(monkeypatch, X)
+    assert passes <= 16
+    assert abs(leading_vector(V) @ leading_vector(V_ref)) > 1.0 - 1e-9  # the same vertex
+    if moved < 1e-13:
+        assert np.max(np.abs(V - V_ref)) <= 1e-12
+        assert abs(lam - lam_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 16])
+def test_cum_unfolding_init_caps_its_passes_where_nothing_settles(iterations, monkeypatch):
+    # 985 windows of 64 taps: the iterate is still moving after 16 passes
+    X = whiten(window_stack(convolutive_scene(4, 1_000)[1], 16))[1].data
+    lam_ref, V_ref, moved = reference_cum_unfolding_power(X, iterations)
+    lam, V, passes = counted_init(monkeypatch, X, iterations)
+    assert passes == iterations
+    if iterations <= 1:  # no float32 pass ran, so these are the reference's passes
+        assert np.array_equal(V, V_ref) and lam == lam_ref
+    else:
+        assert moved > 1e-4
+        assert abs(leading_vector(V) @ leading_vector(V_ref)) > 1.0 - 1e-6
+
+
 def test_unimodal_settles_on_an_eigenvector():
     _, U = convolutive_scene(1, 10_000)
     result = unimodal_equalizer(U, mu1=0.05, mu2=0.02, L=16, epochs=3)
@@ -684,6 +762,17 @@ def test_unimodal_recovers_a_delayed_source_sign():
     assert float(np.max(np.abs(result.W - result.W.T))) <= result.max_w_asymmetry
     assert result.max_g_norm_dev < 1e-12
     assert best_sign_agreement(result, A, U, 16 + 5) >= 0.99
+
+
+def test_unimodal_outputs_equal_the_sphered_windows_form():
+    # outputs reads the raw windows through a = T_w^T g and subtracts a^T m
+    _, U = convolutive_scene(2, 3_000)
+    U = U.data + np.array([[3.0], [-1.0], [0.5], [2.0]])  # a mean to subtract
+    result = unimodal_equalizer(U, mu1=0.05, mu2=0.02, L=8)
+    want = result.g @ result.whitener.apply(window_stack(U, 8)).data
+    got = result.outputs(U)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def reference_unimodal_equalizer(U, mu1, mu2, L, epochs=1, init="fourth_order"):

@@ -393,10 +393,12 @@ def test_stop_rule_is_checked_before_the_data_is_read(monkeypatch):
 
     monkeypatch.setattr(fixedpoint, "_pair_gram", no_pass)
     monkeypatch.setattr(fixedpoint, "fastica_step", no_pass)
+    monkeypatch.setattr(fixedpoint, "_streamed_step", no_pass)  # the raw-direction core deflation steps through
     for max_iterations, tolerance in ((200, 1.0), (200, 5.0), (200, 0.0), (200, -1e-10),
                                       (200, float("nan")), (0, 1e-10), (-1, 1e-10)):
-        with pytest.raises(InvalidSpec):
-            deflate_extract(X, CubicScore(), count=1, max_iterations=max_iterations, tolerance=tolerance)
+        for score in (CubicScore(), make_score("tanh")):  # the moment path and the streamed one
+            with pytest.raises(InvalidSpec):
+                deflate_extract(X, score, count=1, max_iterations=max_iterations, tolerance=tolerance)
 
 
 def moment_test_data(N, T, seed):

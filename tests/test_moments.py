@@ -30,7 +30,7 @@ from bsskit import (
     unfold,
     whiten,
 )
-from bsskit.moments import _PAIR_BLOCK, _pair_gram, _symmetrize4
+from bsskit.moments import _PAIR_BLOCK, _cumulant_matrix, _pair_gram, _symmetrize4
 
 
 def exact_tensor(c4s):
@@ -172,6 +172,19 @@ def test_cumulant_matrix_matches_the_three_operand_form():
     want = (X * s) @ X.T / X.shape[1] - np.trace(M) * np.eye(64) - 2.0 * M
     got = cumulant_matrix(Z, M)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cumulant_matrix_core_keeps_the_precision_of_its_input():
+    # the fourth-order init runs its early passes in float32: nothing in the
+    # operator may upcast them, and they stay close to the float64 pass
+    rng = np.random.default_rng(23)
+    X = whiten(rng.laplace(size=(16, 5_000)))[1].data
+    M = rng.standard_normal((16, 16))
+    M = M + M.T
+    want = cumulant_matrix(X, M)
+    got = _cumulant_matrix(X.astype(np.float32), M.astype(np.float32))
+    assert got.dtype == np.float32
+    assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 @settings(max_examples=30, deadline=None)
