@@ -17,7 +17,7 @@ from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
 from .fixedpoint import _check_step_size, _check_stop_rule
 from .scores import _apply_scores, _score_call, make_score
 from .second_order import Separator, whiten
-from .signals import _as_data
+from .signals import _as_data, _checked_seed
 
 _DET_FLOOR = 1e-12
 _DIVERGENCE_NORM = 1e6
@@ -53,6 +53,7 @@ class AdaptConfig:
         _check_stop_rule(self.max_iterations, self.convergence_tolerance, np.inf)
         if self.init not in INITS:
             raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
+        _checked_seed(self.init_seed, "init_seed")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fixedpoint import _check_stop_rule, _unit, _unit_search
 from .moments import Cumulant4Tensor, _contract3, _cum4, _cumulant_matrix, _pair_products, tucker_transform, unfold
-from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs, whiten
+from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs
 from .signals import _as_data, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
@@ -440,11 +440,12 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     ``init="fourth_order"`` W starts from the fourth-order initialization:
     an extremal eigenmatrix of the cumulant unfolding, driven to a rank-one
     member of its (degenerate) eigenspace and scaled so the modulus target
-    matches.  That vertex is an exact fixed point of the W recursion for
-    unit-modulus window content, so the online updates hold it in place.
-    The eigenmatrix comes from at most 16 passes of the implicit cumulant
-    operator: the early passes, which only pick the vertex, run on a float32
-    copy of the sphered windows, and float64 passes finish it, so
+    matches.  On long data the passes settle on that vertex, an exact fixed
+    point of the W recursion for unit-modulus window content; on short data
+    they may stop short of it, and the recursion then starts from the last
+    iterate.  The eigenmatrix comes from at most 16 passes of the implicit
+    cumulant operator: the early passes, which only pick the vertex, run on
+    a float32 copy of the sphered windows, and float64 passes finish it, so
     ``eigenvalue`` and W are float64.  ``init="zero"`` starts the recursion
     bare.
 
@@ -473,13 +474,15 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
         raise InvalidSpec("epochs must be at least 1")
     if init not in UNIMODAL_INITS:
         raise InvalidSpec(f"init must be one of {UNIMODAL_INITS}, got {init!r}")
-    whitener, sphered = whiten(window_stack(U, L))
-    X = sphered.data
+    whitener, windows = _fitted(window_stack(U, L))
+    windows -= whitener.mean[:, None]  # the stack is this call's own, so it is centred in place
+    X = whitener.matrix @ windows
+    del windows  # freed before the init's float32 copy
     K, T = X.shape
 
     lam0 = float("nan")
     if init == "fourth_order":
-        lam0, V = _cum_unfolding_power(sphered)
+        lam0, V = _cum_unfolding_power(X)
         # V = S S / |S S| for a symmetric S, so tr V = |S|^2 / |S S| >= 1
         W = V / np.trace(V)  # E[u^T W u] = tr(W) = 1 on sphered data
     else:

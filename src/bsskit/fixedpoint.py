@@ -15,7 +15,7 @@ from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, Rank
 from .moments import _contract3, _covariance, _pair_gram, kurtosis
 from .scores import CubicScore
 from .second_order import _RANK_TOLERANCE, Separator, _sorted_eigh, fix_signs
-from .signals import _as_data
+from .signals import _as_data, _checked_seed
 
 _NORM_FLOOR = 1e-12
 # samples per block of a fastica_step pass: at N = 4 on one core a step takes
@@ -60,7 +60,8 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     positive).  With mu = 1 / (beta - E[f'(y)]) the gradient variant
     reproduces the newton direction exactly.  With a fitted ``whitener``
     (W, m), u = W (x - m) is read from raw data U unbuilt: y = a.x - a.m
-    with a = W^T g, and E[u f(y)] = W (E[x f(y)] - m E[f(y)]).
+    with a = W^T g, and E[u f(y)] = W (E[x f(y)] - m E[f(y)]).  Without
+    one, U is taken as sphered (W = I, m = 0): the moments are uncentred.
 
     The expectations are summed over blocks of _STEP_BLOCK samples in one
     pass, so no array as long as the data is built, and f' is evaluated
@@ -184,13 +185,17 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     until the direction settles: 1 - |<g_k+1, g_k>| < tolerance, with
     0 < tolerance < 1.  Only the newton and fixed_point variants run here.
 
-    A unit whose score is exactly CubicScore, on at most _MOMENT_MAX_N
-    channels, runs on the data's fourth moments: the data are read once for
-    all such units, and each step is an O(N^4) contraction (see
-    _cubic_moment_step).  Every other unit streams the data on each step,
-    as fastica_step does, without re-checking them.  With a fitted
-    ``whitener``, U is raw data read through it as fastica_step reads it,
-    count is at most its detected_rank, and the result applies to U.
+    The run fixes its path before the first unit.  When every unit's score
+    is exactly CubicScore and N <= _MOMENT_MAX_N, the data are read once into
+    their fourth moments, and each step is an O(N^4) contraction (see
+    _cubic_moment_step).  Otherwise (a factory that mixes score kinds too)
+    every unit streams the data on each step with its own score, as
+    fastica_step does.  E[u u^T] is read once, beside the fourth moments or
+    by one covariance pass.  With a fitted ``whitener``, U is raw data read
+    through it as fastica_step reads it, count is at most its
+    detected_rank, and the result applies to U.  Without one, U is taken as
+    sphered (W = I, m = 0) and both paths take uncentred moments, whereas
+    estimate_cum4 centres.
 
     Raises NotConverged with the failing row index when a unit stalls, and
     RankDeficient when a settled unit's output power E[y^2] falls below
@@ -205,25 +210,19 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     if variant not in DEFLATION_VARIANTS:
         raise InvalidSpec(f"variant must be one of {DEFLATION_VARIANTS}, got {variant!r}")
     _check_stop_rule(max_iterations, tolerance)
-    moment_step = m2 = floor = None
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
+    scores = [score() if callable(score) else score for _ in range(count)]
+    if N <= _MOMENT_MAX_N and all(type(s) is CubicScore for s in scores):
+        m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
+        steps = [_cubic_moment_step(m4, m2, newton=variant == "newton")] * count
+    else:
+        m2 = W @ _covariance(X, m) @ W.T
+        steps = [lambda g, s=s: _streamed_step(g, X, W, m, s, variant)[0] for s in scores]
+    floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
     units = np.empty((count, N))
-    for r in range(count):
-        unit_score = score() if callable(score) else score
-        if type(unit_score) is CubicScore and N <= _MOMENT_MAX_N:
-            if moment_step is None:
-                m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
-                moment_step = _cubic_moment_step(m4, m2, newton=variant == "newton")
-            step = moment_step
-        else:
-            def step(g, unit_score=unit_score):
-                return _streamed_step(g, X, W, m, unit_score, variant)[0]
+    for r, step in enumerate(steps):
         found = units[:r]
         g = _unit_search(step, _unit(rng.standard_normal(N), found), found, max_iterations, tolerance)
-        if m2 is None:  # only streamed units so far: one pass for E[u u^T]
-            m2 = W @ _covariance(X, m) @ W.T
-        if floor is None:
-            floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
         if g @ m2 @ g < floor:
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
         units[r] = g

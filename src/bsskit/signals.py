@@ -39,8 +39,14 @@ class SourceSpec:
                 raise InvalidSpec("ar1 needs ar_coefficient in (-1, 1)")
         elif self.ar_coefficient is not None:
             raise InvalidSpec(f"ar_coefficient is only valid for ar1, not {self.kind!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidSpec("seed must be a nonnegative integer")
+        _checked_seed(self.seed)
+
+
+def _checked_seed(seed, name: str = "seed"):
+    """A seed where it enters a generator: a nonnegative integer, else InvalidSpec."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidSpec(f"{name} must be a nonnegative integer, got {seed!r}")
+    return seed
 
 
 def _checked_signal(arr: np.ndarray) -> np.ndarray:
@@ -112,6 +118,7 @@ class MixingModel:
     def __post_init__(self):
         if self.variant not in ("static", "noisy", "convolutive"):
             raise InvalidSpec(f"unknown mixing variant {self.variant!r}")
+        _checked_seed(self.noise_seed, "noise_seed")
         if self.variant in ("static", "noisy"):
             if self.matrix is None:
                 raise InvalidSpec(f"{self.variant} mixing needs a matrix")

@@ -1,6 +1,7 @@
 """Tensor-algebra separation: Jacobi, JADE, HO-EVD/PM, PARAFAC, CM solvers."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -773,6 +774,21 @@ def test_unimodal_outputs_equal_the_sphered_windows_form():
     got = result.outputs(U)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("init", UNIMODAL_INITS)
+def test_unimodal_never_builds_a_centred_copy_of_its_windows(init):
+    # the window stack is centred in place and sphered by one GEMM: at most
+    # the stack and its sphered rows (42 of 64 here) are held at once
+    _, U = convolutive_scene(1, 5_000)
+    stack = window_stack(U, 16).nbytes
+    tracemalloc.start()
+    try:
+        unimodal_equalizer(U, mu1=0.05, mu2=0.02, L=16, init=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * stack
 
 
 def reference_unimodal_equalizer(U, mu1, mu2, L, epochs=1, init="fourth_order"):

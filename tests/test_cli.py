@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bsskit
+from bsskit import cli
 from bsskit import (SourceSpec, deflate_extract, estimate_cum4, hopm, jacobi_diagonalize, jade_rotation, make_score,
                     rank1_init, sample_covariance, separation_index, whiten)
 from bsskit.cli import (
@@ -310,6 +312,39 @@ def test_a_non_finite_index_is_a_diverged_record(tmp_path, monkeypatch):
     assert main(["run", put(tmp_path, THREE_BPSK + "algorithm = jade\n"), "--out", str(out)]) == 3
     recs = [_strict_json(line) for line in out.read_text().splitlines()]
     assert [(rec["status"], rec["index_db"]) for rec in recs] == [("Diverged", None)]
+
+
+def test_a_negative_init_seed_fails_each_repetition(tmp_path):
+    # a bad algorithm value is the library's to refuse, one repetition at a time
+    text = ADAPTIVE_SCENARIO.replace("repetitions = 1", "repetitions = 2") + (
+        "algorithm.init = random_orthogonal\nalgorithm.init_seed = -1\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["run", put(tmp_path, text), "--out", str(out)]) == 3
+    assert [rec["status"] for rec in records_of(out)] == ["InvalidSpec", "InvalidSpec"]
+
+
+def test_run_without_out_writes_the_records_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))  # elapsed_s reads 0
+    scenario = put(tmp_path, JADE_SCENARIO.replace("repetitions = 5", "repetitions = 2"))
+    out = tmp_path / "r.jsonl"
+    assert main(["run", scenario, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["run", scenario]) == 0
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_the_module_entry_runs_a_scenario(tmp_path):
+    scenario = put(tmp_path, JADE_SCENARIO.replace("repetitions = 5", "repetitions = 2"))
+    out = tmp_path / "r.jsonl"
+    assert main(["run", scenario, "--out", str(out)]) == 0
+    run = subprocess.run([sys.executable, "-m", "bsskit.cli", "run", scenario],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert (run.returncode, run.stderr) == (0, "")
+
+    def without_wall_time(lines):
+        return [{k: v for k, v in _strict_json(line).items() if k != "elapsed_s"} for line in lines]
+
+    assert without_wall_time(run.stdout.splitlines()) == without_wall_time(out.read_text().splitlines())
 
 
 def test_environment_seed_override(tmp_path, monkeypatch):

@@ -481,6 +481,41 @@ def test_only_cubic_units_up_to_the_bound_skip_the_streamed_step(monkeypatch, ki
         assert len(calls) == (iterations if streams else 0), variant
 
 
+def counting(monkeypatch, *names):
+    """Patch each named fixedpoint function to count its calls; returns {name: [calls]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, name=name, original=getattr(fixedpoint, name), **kwargs):
+            calls[name].append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(fixedpoint, name, counted)
+    return calls
+
+
+def test_a_factory_that_mixes_score_kinds_streams_every_unit(monkeypatch):
+    # the path is fixed for the whole run: one tanh unit sends the cubic ones to the streamed step too
+    X = moment_test_data(4, 2_000, seed=0)
+
+    def alternating():  # a factory of cubic, tanh, cubic, tanh
+        kinds = iter(["cubic", "tanh"] * 2)
+        return lambda: make_score(next(kinds))
+
+    calls = counting(monkeypatch, "_pair_gram")
+    sep = deflate_extract(X, alternating(), 4)
+    assert calls["_pair_gram"] == []
+    assert np.max(np.abs(sep.matrix - reference_deflate_extract(X, alternating(), 4))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, N, gram", [
+    ("cubic", 4, True), ("tanh", 4, False), ("cubic", _MOMENT_MAX_N + 1, False),
+])
+def test_each_run_reads_its_second_moments_once(monkeypatch, kind, N, gram):
+    X = moment_test_data(N, 2_000, seed=1)
+    calls = counting(monkeypatch, "_pair_gram", "_covariance")
+    deflate_extract(X, lambda: make_score(kind), N)
+    assert (len(calls["_pair_gram"]), len(calls["_covariance"])) == ((1, 0) if gram else (0, 1))
+
+
 @pytest.mark.parametrize("kind", ["cubic", "tanh"])
 def test_each_unit_and_each_hopm_call_fixes_its_sign_once(monkeypatch, kind):
     # every step is odd in g, so the unit search fixes the sign of its result only

@@ -20,6 +20,7 @@ from bsskit import (
     SourceSpec,
     Whitener,
     convolve_mimo,
+    deflate_extract,
     generate_sources,
     lift_convolutive,
     mix,
@@ -111,6 +112,26 @@ def test_source_spec_validation():
         SourceSpec("bpsk", ar_coefficient=0.3)
     with pytest.raises(InvalidSpec):
         SourceSpec("bpsk", seed=-1)
+
+
+# Every seed that reaches a generator obeys SourceSpec's rule where it enters:
+# a nonnegative integer, else InvalidSpec before any draw.
+SEEDED_ENTRIES = {
+    "source": lambda seed: SourceSpec("bpsk", seed=seed),
+    "noise": lambda seed: mix(MixingModel("noisy", matrix=np.eye(2), noise_std=0.1, noise_seed=seed),
+                              generate_sources([SourceSpec("bpsk"), SourceSpec("uniform")], 100)),
+    "adaptive_init": lambda seed: AdaptConfig(init="random_orthogonal", init_seed=seed),
+    "deflation_start": lambda seed: deflate_extract(np.random.default_rng(2).uniform(-1, 1, (2, 100)),
+                                                    CubicScore, 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED_ENTRIES))
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_every_seed_is_a_nonnegative_integer(entry, seed):
+    with pytest.raises(InvalidSpec, match="seed must be a nonnegative integer"):
+        SEEDED_ENTRIES[entry](seed)
+    SEEDED_ENTRIES[entry](np.int64(3))  # a numpy integer is an integer
 
 
 def test_signal_matrix_rejects_bad_data():
