@@ -53,7 +53,7 @@ from .errors import (
     ZeroContraction,
     ZeroUpdate,
 )
-from .fixedpoint import OneUnitState, cma, cma_step, deflate_extract, donoho_contrast, fastica_step
+from .fixedpoint import OneUnitState, cma, cma_step, deflate_extract, donoho_contrast, fastica_step, symmetric_extract
 from .metrics import GlobalSystem, global_system, resolve_permutation_scale, separation_index
 from .moments import (
     Cumulant4Tensor,

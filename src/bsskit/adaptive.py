@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
 from .fixedpoint import _check_step_size, _check_stop_rule
 from .scores import _apply_scores, _score_call, make_score
-from .second_order import Separator, whiten
+from .second_order import Separator, _polar, whiten
 from .signals import _as_data, _checked_seed
 
 _DET_FLOOR = 1e-12
@@ -113,11 +113,6 @@ def _mean(total, T):  # a sum over T samples divided by T; one sample's sum is i
 
 def _resolve(scores, g_scores, N):  # _direction's f and g for N channels; g is None without g_scores
     return _score_call(scores, "f", N), None if g_scores is None else _score_call(g_scores, "f", N)
-
-
-def _polar(G):
-    left, _, right = np.linalg.svd(G, full_matrices=False)
-    return left @ right
 
 
 def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):

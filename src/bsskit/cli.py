@@ -44,7 +44,7 @@ import numpy as np
 from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
 from .algebraic import UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init, unimodal_equalizer
 from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
-from .fixedpoint import DEFLATION_VARIANTS, cma, deflate_extract
+from .fixedpoint import EXTRACTION_VARIANTS, cma, symmetric_extract
 from .metrics import _clamped_db, separation_index
 from .moments import estimate_cum4
 from .scores import SCORE_KINDS, make_score
@@ -293,10 +293,8 @@ def _adaptive(m, params):
 
 def _fastica(m, params):
     score = params.pop("score", "cubic")
-    whitener = fit_whitener(m.U)
-    sep = deflate_extract(m.U, lambda: make_score(score), count=whitener.detected_rank, seed=m.seed,
-                          whitener=whitener, **params)
-    return _index(m, sep.matrix), None, None
+    sep = symmetric_extract(m.U, lambda: make_score(score), seed=m.seed, whitener=fit_whitener(m.U), **params)
+    return _index(m, sep.matrix), sep.iterations, None
 
 
 def _jade(m, params):
@@ -341,7 +339,7 @@ ALGORITHMS = {
     "amuse": (_amuse, {"lag": int, "gap_tolerance": float}),
     "adaptive": (_adaptive, {"step_size": float, "mode": MODES, "score": SCORE_KINDS, "epochs": int,
                              "convergence_tolerance": float, "init": INITS, "init_seed": int}),
-    "fastica": (_fastica, {"variant": DEFLATION_VARIANTS, "score": SCORE_KINDS, **_ITERATIONS}),
+    "fastica": (_fastica, {"variant": EXTRACTION_VARIANTS, "score": SCORE_KINDS, **_ITERATIONS}),
     "jade": (_jade, {}),
     "jacobi": (_jacobi, {"sweep_tolerance": float, "max_sweeps": int}),
     "sea": (_fastica, _ITERATIONS),  # fastica with its newton variant and cubic score

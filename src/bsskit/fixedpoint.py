@@ -1,9 +1,13 @@
-"""One-unit extraction: fixed-point iterations, deflation, CMA steps.
+"""Fixed-point extraction: one-unit iterations, deflation, symmetric FastICA, CMA steps.
 
-All routines here work in sphered coordinates on a single demixing vector g;
-full separators are assembled by deflating one unit at a time.  Every
+All routines here work in sphered coordinates.  A fixed-point step maps one
+demixing vector g, or each row of a block of them, to its update g+.  Full
+separators come from deflating one unit at a time or from stepping every
+row at once and restoring orthogonality with the polar factor.  Every
 deflation unit and algebraic.hopm run one loop, _unit_search, which raises
-ZeroUpdate when a step, or what deflation leaves of it, vanishes.
+ZeroUpdate when a step, or what deflation leaves of it, vanishes;
+symmetric_extract runs _symmetric_search, which raises it when the step
+matrix loses a direction.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, RankDeficient, ZeroUpdate
 from .moments import _contract3, _covariance, _pair_gram, kurtosis
-from .scores import CubicScore
-from .second_order import _RANK_TOLERANCE, Separator, _sorted_eigh, fix_signs
+from .scores import CubicScore, _score_call
+from .second_order import _RANK_TOLERANCE, Separator, _polar, _sorted_eigh, fix_signs
 from .signals import _as_data, _checked_seed
 
 _NORM_FLOOR = 1e-12
@@ -30,9 +34,12 @@ _CMA_BLOCK = 64
 # 60 against 70 ms at N = 22, T = 20 000, 84 against 79-82 ms at N = 24
 # (302 against 337 ms at T = 100 000), but 143 against 99-101 ms at N = 28.
 _MOMENT_MAX_N = 24
+# symmetric_extract's float32 iterations stop once every row moves by
+# 1 - |<g+, g>| < this bound; float64 iterations then finish to the tolerance
+_SYMMETRIC_SETTLED = 1e-6
 
 VARIANTS = ("newton", "fixed_point", "gradient")
-DEFLATION_VARIANTS = VARIANTS[:2]  # the gradient variant needs a step size, which deflation does not take
+EXTRACTION_VARIANTS = VARIANTS[:2]  # the gradient variant needs a step size, which neither extraction takes
 
 
 @dataclass(frozen=True)
@@ -77,53 +84,64 @@ def fastica_step(state: OneUnitState, U, score, variant: str = "newton", mu: flo
     g = np.asarray(state.g, dtype=float)
     if g.shape != (len(W),):
         raise DimensionMismatch(f"g has shape {g.shape} for {len(W)} channels")
-    g_plus, beta = _streamed_step(g, X, W, m, score, variant, mu)
-    return OneUnitState(g=fix_signs(_unit(g_plus)), beta=beta, iteration=state.iteration + 1)
+    g_plus, beta = _streamed_step(g, X, W, m, [score], variant, mu)
+    return OneUnitState(g=fix_signs(_unit(g_plus)), beta=float(beta), iteration=state.iteration + 1)
 
 
-def _streamed_step(g, X, W, m, score, variant: str, mu=None):
-    """fastica_step's (g+, beta), g+ unnormalized, on data X already checked, read as u = W (x - m)."""
+def _streamed_step(G, X, W, m, scores, variant: str, mu=None):
+    """fastica_step's (g+, beta), g+ unnormalized, for the unit G, or for each row of a k x N block G.
+
+    X holds data already checked, read as u = W (x - m), and ``scores`` one
+    score per unit.  Each block of samples takes one k x M product for the
+    outputs, and its sums are k-vectors.  Every array takes the precision
+    of X, G, W and m, so float32 operands step in float32.  beta = E[y f(y)]
+    is read as g . E[u f(y)], which it equals because y = g.u.
+    """
     M, T = X.shape
-    a, shift = W.T @ g, float(g @ (W @ m))
-    y = None
-    if score.keeps_state:
-        y = a @ X
-        y -= shift
-        score.update(y)
+    A, shift = (W.T @ G.T).T, (G @ (W @ m))[..., None]  # a = W^T g and a.m, for each unit
+    Y = None
+    if any(s.keeps_state for s in scores):
+        Y = A @ X
+        Y -= shift
+        for s, y in zip(scores, np.atleast_2d(Y)):
+            s.update(y)
     newton = variant == "newton"
-    xf, fs, yf, fp = np.zeros(M), 0.0, 0.0, 0.0
-    ones = np.ones(min(T, _STEP_BLOCK))  # a block's sums as BLAS dots, which beat np.sum here
+    # one call per block for each group of scores; the state scores keep is fixed for this step
+    score = _score_call(scores, "f_and_fprime" if newton else "f", len(scores), regroup=True)
+    units = G.shape[:-1]  # () for one unit, (k,) for a block
+    xf, fs, fp = np.zeros((M,) + units, X.dtype), np.zeros(units, X.dtype), np.zeros(units, X.dtype)
+    ones = np.ones(min(T, _STEP_BLOCK), X.dtype)  # a block's sums as BLAS products, which beat np.sum here
     for start in range(0, T, _STEP_BLOCK):
         X_b = X[:, start:start + _STEP_BLOCK]
-        y_b = a @ X_b - shift if y is None else y[start:start + _STEP_BLOCK]
+        ones_b = ones[:X_b.shape[1]]
+        Y_b = A @ X_b - shift if Y is None else Y[..., start:start + _STEP_BLOCK]
         if newton:
-            f_b, fp_b = score.f_and_fprime(y_b)
-            fp += float(ones[:len(fp_b)] @ fp_b)
+            F_b, Fp_b = score(Y_b)
+            fp += ones_b @ Fp_b.T
         else:
-            f_b = score.f(y_b)
-        xf += X_b @ f_b
-        fs += float(ones[:len(f_b)] @ f_b)
-        yf += float(y_b @ f_b)
-    euf = W @ (xf / T - m * (fs / T))
-    beta = yf / T
+            F_b = score(Y_b)
+        xf += X_b @ F_b.T
+        fs += ones_b @ F_b.T
+    euf = (W @ (xf / T - np.multiply.outer(m, fs / T))).T  # E[u f(y)] = W (E[x f(y)] - m E[f(y)])
+    beta = np.sum(G * euf, axis=-1)
     if newton:
-        return euf - (fp / T) * g, beta
+        return euf - (fp / T)[..., None] * G, beta
     if variant == "fixed_point":
         return euf, beta
-    return g + mu * (euf - beta * g), beta
+    return G + mu * (euf - beta[..., None] * G), beta
 
 
 def _cubic_moment_step(m4: np.ndarray, m2: np.ndarray, newton: bool):
     """_streamed_step's g+ for CubicScore as a contraction of the data's moments.
 
     The data are read once, by _pair_gram, into m4, the unfolding of every
-    E[u_i u_j u_k u_l], and m2 = E[u u^T].  A step then costs O(N^4) and
-    reads neither: E[u y^3] = m4 . g . g . g (_contract3) and
-    E[y^2] = g.m2 g.
+    E[u_i u_j u_k u_l], and m2 = E[u u^T].  A step then costs O(N^4) a unit
+    and reads neither: E[u y^3] = m4 . g . g . g (_contract3) and
+    E[y^2] = g.m2 g, for the unit g or for each row of a block.
     """
-    def step(g):
-        euy3 = _contract3(m4, g)
-        return euy3 - (3.0 * float(g @ m2 @ g)) * g if newton else euy3
+    def step(G):
+        euy3 = _contract3(m4, G)
+        return euy3 - 3.0 * np.sum(G @ m2 * G, axis=-1)[..., None] * G if newton else euy3
 
     return step
 
@@ -207,8 +225,8 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     N = len(W)
     if not (1 <= count <= N):
         raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
-    if variant not in DEFLATION_VARIANTS:
-        raise InvalidSpec(f"variant must be one of {DEFLATION_VARIANTS}, got {variant!r}")
+    if variant not in EXTRACTION_VARIANTS:
+        raise InvalidSpec(f"variant must be one of {EXTRACTION_VARIANTS}, got {variant!r}")
     _check_stop_rule(max_iterations, tolerance)
     rng = np.random.default_rng(_checked_seed(seed))
     scores = [score() if callable(score) else score for _ in range(count)]
@@ -217,7 +235,7 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
         steps = [_cubic_moment_step(m4, m2, newton=variant == "newton")] * count
     else:
         m2 = W @ _covariance(X, m) @ W.T
-        steps = [lambda g, s=s: _streamed_step(g, X, W, m, s, variant)[0] for s in scores]
+        steps = [lambda g, s=s: _streamed_step(g, X, W, m, [s], variant)[0] for s in scores]
     floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
     units = np.empty((count, N))
     for r, step in enumerate(steps):
@@ -227,6 +245,104 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
         units[r] = g
     return Separator(matrix=units @ W, whitener=whitener)
+
+
+def symmetric_extract(U, score, variant: str = "newton", max_iterations: int = 200, tolerance: float = 1e-10,
+                      seed: int = 0, whitener=None) -> Separator:
+    """Extract one unit per sphered channel at once: symmetric FastICA (Hyvarinen, IEEE TNN 10(3), 1999).
+
+    ``score``, ``variant``, ``seed`` and ``whitener`` are read as
+    deflate_extract reads them.  G starts as the polar factor of a seeded
+    Gaussian N x N matrix; each iteration steps every row of G and takes
+    the polar factor of the result, until every row settles,
+    1 - |<g+, g>| < tolerance.  No unit inherits the errors of the units
+    found before it, as deflation's do.
+
+    The path is deflate_extract's: cubic units on at most _MOMENT_MAX_N
+    channels contract the data's fourth moments; otherwise each iteration
+    streams the data once for all rows.  The first streamed iterations read
+    a float32 copy of the sphered data W (x - m), formed block by block in
+    float64, until every row moves by less than _SYMMETRIC_SETTLED.  The
+    copy is then freed, the rows are made orthonormal in float64, and
+    float64 iterations on the data finish.  max_iterations caps both
+    phases together, the last iteration is always float64, and the
+    result's ``iterations`` counts both.
+
+    Raises RankDeficient before any step when E[u u^T] has an eigenvalue
+    below deflate_extract's rank floor, as N orthonormal rows cannot all
+    stay out of the data's null space; NotConverged at the cap, indexed by
+    the first unsettled row; and ZeroUpdate when the step matrix's smallest
+    singular value falls below _NORM_FLOOR times its largest.
+    """
+    X = _as_data(U)
+    W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
+    N = len(W)
+    if variant not in EXTRACTION_VARIANTS:
+        raise InvalidSpec(f"variant must be one of {EXTRACTION_VARIANTS}, got {variant!r}")
+    _check_stop_rule(max_iterations, tolerance)
+    rng = np.random.default_rng(_checked_seed(seed))
+    scores = [score() if callable(score) else score for _ in range(N)]
+    G = _polar(rng.standard_normal((N, N)))
+    if N <= _MOMENT_MAX_N and all(type(s) is CubicScore for s in scores):
+        m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
+        _check_full_rank(m2)
+        step = _cubic_moment_step(m4, m2, newton=variant == "newton")
+        G, iterations, unsettled = _symmetric_search(step, G, 0, max_iterations, tolerance)
+    else:
+        Z, m2 = _sphered_float32(X, W, m)
+        _check_full_rank(m2)
+        eye, zero = np.eye(N, dtype=np.float32), np.zeros(N, dtype=np.float32)
+        G32, iterations, _ = _symmetric_search(lambda G: _streamed_step(G, Z, eye, zero, scores, variant)[0],
+                                               G.astype(np.float32), 0, max_iterations - 1, _SYMMETRIC_SETTLED)
+        del Z  # freed before the float64 iterations
+        if iterations:  # else G stays the exact float64 start
+            # rows orthonormal in float64: their float32 rounding would read as a move of ~1e-8
+            G = _polar(G32.astype(float))
+        G, iterations, unsettled = _symmetric_search(lambda G: _streamed_step(G, X, W, m, scores, variant)[0],
+                                                     G, iterations, max_iterations, tolerance)
+    if len(unsettled):
+        raise NotConverged(f"rows {unsettled.tolist()} did not settle in {max_iterations} iterations",
+                           index=int(unsettled[0]))
+    G = fix_signs(G.T).T  # every step and the polar factor are odd in each row, so once is enough
+    return Separator(matrix=G @ W, whitener=whitener, iterations=iterations)
+
+
+def _check_full_rank(m2: np.ndarray):
+    """RankDeficient unless every eigenvalue of E[u u^T] reaches the rank floor (see deflate_extract)."""
+    eigvals = _sorted_eigh(m2)[0]
+    if eigvals[-1] < _RANK_TOLERANCE * eigvals[0]:
+        rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
+        raise RankDeficient(f"the data have rank {rank} below their {len(m2)} channels: "
+                            "some unit would lie in their null space")
+
+
+def _symmetric_search(step, G: np.ndarray, iterations: int, cap: int, tolerance: float):
+    """Iterate G <- polar factor of step(G) from an orthogonal G, until every row settles or the count reaches cap.
+
+    A row settles when 1 - |<g+, g>| < tolerance.  Returns (G, iterations,
+    the indices of the rows that have not settled).  ZeroUpdate when the
+    step matrix's smallest singular value falls below _NORM_FLOOR times
+    its largest: the rows then no longer span N directions.
+    """
+    unsettled = np.arange(len(G))
+    while len(unsettled) and iterations < cap:
+        iterations += 1
+        G_plus = _polar(step(G), _NORM_FLOOR)
+        unsettled = np.flatnonzero(~(1.0 - np.abs(np.sum(G_plus * G, axis=1)) < tolerance))
+        G = G_plus
+    return G, iterations, unsettled
+
+
+def _sphered_float32(X: np.ndarray, W: np.ndarray, m: np.ndarray):
+    """(Z, m2): the sphered data u = W (x - m) in float32, each block formed in float64, and E[u u^T] of the blocks."""
+    N, T = len(W), X.shape[1]
+    Z = np.empty((N, T), dtype=np.float32)
+    m2 = np.zeros((N, N))
+    for start in range(0, T, _STEP_BLOCK):
+        U_b = W @ (X[:, start:start + _STEP_BLOCK] - m[:, None])
+        m2 += U_b @ U_b.T
+        Z[:, start:start + _STEP_BLOCK] = U_b
+    return Z, m2 / T
 
 
 def _modulus_error(y: float, step_size: float) -> float:

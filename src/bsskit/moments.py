@@ -158,9 +158,16 @@ def _pair_gram(X: np.ndarray, mean: np.ndarray | None = None, transform: np.ndar
 
 
 def _contract3(V: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """V . g . g . g: the N^2 x N^2 unfolding V of a fourth-order array contracted with g on three modes."""
-    N = len(g)
-    return (V @ np.outer(g, g).ravel()).reshape(N, N) @ g
+    """V . g . g . g: the N^2 x N^2 unfolding V of a fourth-order array contracted with g on three modes.
+
+    For a k x N block g, row r of the k x N result is row r's contraction, from one product with V.
+    """
+    if g.ndim == 1:
+        N = len(g)
+        return (V @ np.outer(g, g).ravel()).reshape(N, N) @ g
+    k, N = g.shape
+    P = V @ (g[:, :, None] * g[:, None, :]).reshape(k, N * N).T  # column r: V . g_r . g_r
+    return np.einsum("ijr,rj->ri", P.reshape(N, N, k), g)
 
 
 def estimate_cum4(U, whitener=None) -> Cumulant4Tensor:

@@ -16,6 +16,7 @@ _FORGETTING = 0.99  # of the sign-switching score's running moments
 # samples per block of a batch update: every weight of one block stays far above
 # the subnormal range, where pow is slow (lam^4095 is 1.4e-18)
 _FORGET_BLOCK = 4096
+_FLOAT32 = np.dtype(np.float32)
 
 
 class ScoreFunction:
@@ -71,13 +72,21 @@ def _score_call(scores, method, channels, regroup=False):
     groups = [[i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)]
     if len(groups) == 1:
         return getattr(scores[0], method)
+    pair = method == "f_and_fprime"  # its result is two arrays
 
     def call(Y):
-        out = np.empty_like(Y)
+        out = (np.empty_like(Y), np.empty_like(Y)) if pair else (np.empty_like(Y),)
         for rows in groups:
-            out[rows] = getattr(scores[rows[0]], method)(Y[rows])
-        return out
+            part = getattr(scores[rows[0]], method)(Y[rows])
+            for o, p in zip(out, part if pair else (part,)):
+                o[rows] = p
+        return out if pair else out[0]
     return call
+
+
+def _floats(y):
+    """y as an array of floats: float32 stays float32, for iterations on a float32 copy; all else becomes float64."""
+    return y if getattr(y, "dtype", None) is _FLOAT32 else np.asarray(y, dtype=float)
 
 
 def _apply_scores(scores, Y, method="f"):
@@ -89,11 +98,11 @@ class CubicScore(ScoreFunction):
     """f(y) = y^3, the model density exp(-y^4/4) up to normalization."""
 
     def f(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         return y * y * y
 
     def fprime(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         return 3.0 * y * y
 
     def log_phi(self, y):
@@ -158,11 +167,11 @@ class SignSwitchingScore(ScoreFunction):
                 self.m4 = lam**y2_b.size * self.m4 + float(w_b @ (y2_b * y2_b))
 
     def f(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         return self.kurtosis_sign * (y * y * y)
 
     def fprime(self, y):
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         return self.kurtosis_sign * 3.0 * y * y
 
 

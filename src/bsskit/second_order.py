@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec
+from .errors import DegenerateInput, DegenerateSpectra, DimensionMismatch, InvalidSpec, ZeroUpdate
 from .moments import _covariance
 from .signals import SignalMatrix, _as_data
 
@@ -38,6 +38,18 @@ def _sorted_eigh(R: np.ndarray, by_magnitude: bool = False):
     eigvals, eigvecs = np.linalg.eigh((R + R.T) / 2.0)
     order = np.argsort(-np.abs(eigvals), kind="stable") if by_magnitude else np.argsort(eigvals)[::-1]
     return eigvals[order], fix_signs(eigvecs[:, order])
+
+
+def _polar(G: np.ndarray, floor: float | None = None) -> np.ndarray:
+    """The orthogonal polar factor of a square G: U V^T from its SVD U S V^T, in G's precision.
+
+    With a ``floor``, ZeroUpdate when G's smallest singular value is not
+    above floor times its largest: some direction of G has vanished.
+    """
+    left, singular, right = np.linalg.svd(G, full_matrices=False)
+    if floor is not None and not singular[-1] > floor * singular[0]:
+        raise ZeroUpdate(f"singular values fall from {singular[0]:.3e} to {singular[-1]:.3e}, below {floor:.0e} of it")
+    return left @ right
 
 
 @dataclass(frozen=True)
@@ -71,11 +83,13 @@ class Separator:
     """A demixing matrix, with the whitener it composes with (if any).
 
     ``matrix`` always acts on raw sensor data: rows are demixing vectors of
-    the full separator, whitening included.
+    the full separator, whitening included.  ``iterations`` is how many
+    iterations the solver that built it ran, where it reports them.
     """
 
     matrix: np.ndarray
     whitener: Whitener | None = None
+    iterations: int | None = None
 
     def apply(self, U) -> SignalMatrix:
         X = _as_data(U)

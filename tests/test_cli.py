@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import bsskit
 from bsskit import cli
-from bsskit import (SourceSpec, deflate_extract, estimate_cum4, hopm, jacobi_diagonalize, jade_rotation, make_score,
-                    rank1_init, sample_covariance, separation_index, whiten)
+from bsskit import (SourceSpec, estimate_cum4, hopm, jacobi_diagonalize, jade_rotation, make_score, rank1_init,
+                    sample_covariance, separation_index, symmetric_extract, whiten)
 from bsskit.cli import (
     ALGORITHMS,
     MIXINGS,
@@ -684,20 +684,21 @@ def test_a_diverging_adaptive_run_stops_without_warnings(tmp_path):
 
 
 def whiten_then_solve(m, algorithm, params):
-    # the adapters as they read before the fold: whiten m.U, then solve on the sphered copy
+    # the adapters as they read before the fold: whiten m.U, then solve on the
+    # sphered copy; returns the demixing matrix and the record's iters
     whitener, Z = whiten(m.U)
     if algorithm == "amuse":
-        return _sorted_eigh(sample_covariance(Z, 1).matrix)[1].T @ whitener.matrix
+        return _sorted_eigh(sample_covariance(Z, 1).matrix)[1].T @ whitener.matrix, None
     if algorithm in ("fastica", "sea"):
         score = params.get("score", "cubic")
-        sep = deflate_extract(Z, lambda: make_score(score), count=Z.channel_count, seed=m.seed)
-        return sep.matrix @ whitener.matrix
+        sep = symmetric_extract(Z, lambda: make_score(score), seed=m.seed)
+        return sep.matrix @ whitener.matrix, sep.iterations
     C = estimate_cum4(Z)
     if algorithm == "jade":
-        return jade_rotation(C).T @ whitener.matrix
+        return jade_rotation(C).T @ whitener.matrix, None
     if algorithm == "jacobi":
-        return jacobi_diagonalize(C) @ whitener.matrix
-    return hopm(C, init=rank1_init(C).g0)[1] @ whitener.matrix  # rank1_sea
+        return jacobi_diagonalize(C) @ whitener.matrix, None
+    return hopm(C, init=rank1_init(C).g0)[1] @ whitener.matrix, None  # rank1_sea
 
 
 def three_sources(kind):
@@ -719,8 +720,9 @@ def test_records_match_whitening_then_solving(algorithm, kind, params):
     specs = validate_scenario(scenario)
     for rep, record in enumerate(run_experiment(scenario, specs)):
         m = _mixture(scenario, specs, rep)
-        assert (record["status"], record["iters"]) == ("ok", None)  # the reference's: it raises nothing
-        assert abs(record["index_db"] - _index(m, whiten_then_solve(m, algorithm, params))) < 1e-9
+        demixing, iters = whiten_then_solve(m, algorithm, params)
+        assert (record["status"], record["iters"]) == ("ok", iters)  # the reference's: it raises nothing
+        assert abs(record["index_db"] - _index(m, demixing)) < 1e-9
 
 
 @pytest.mark.parametrize("literal", ["1 2 ; 3", ";", "", "1 x ; 2 3"],
