@@ -26,7 +26,7 @@ from .errors import (
     ZeroContraction,
     ZeroUpdate,
 )
-from .fixedpoint import _check_stop_rule, _unit, _unit_search
+from .fixedpoint import _check_stop_rule, _two_precision, _unit, _unit_search
 from .moments import Cumulant4Tensor, _contract3, _cum4, _cumulant_matrix, _pair_products, tucker_transform, unfold
 from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs
 from .signals import _as_data, window_stack
@@ -35,8 +35,8 @@ UNIMODAL_INITS = ("fourth_order", "zero")
 # windows per block of the unimodal equalizer's W recursion
 _UNIMODAL_BLOCK = 64
 _G_RANGE = np.finfo(float).tiny ** np.array([0.5, -0.5])  # norms of g whose squares are normal
-# _cum_unfolding_power's float32 passes stop once a pass moves V by less than
-# the first bound (max-abs change), its float64 passes by less than the second
+# _cum_unfolding_power's (loose, tight) bounds for _two_precision on the
+# max-abs change of V in one pass
 _INIT_SETTLED = (1e-4, 1e-13)
 
 
@@ -355,10 +355,9 @@ def _cum_unfolding_power(Z, iterations: int = 16):
     # therefore followed by a matrix squaring: V @ V stays inside that
     # eigenspace while squaring the hidden diagonal profile, so the iterate
     # collapses onto a single rank-one vertex at double-exponential rate.
-    # The early passes only pick that vertex, so they run on a float32 copy
-    # of Z until V settles to _INIT_SETTLED[0]; float64 passes then refine V
-    # to _INIT_SETTLED[1].  At most ``iterations`` passes run in all, and the
-    # last one is float64.
+    # The early passes only pick that vertex, so the passes run in two
+    # precisions (fixedpoint._two_precision, to the bounds _INIT_SETTLED),
+    # at most ``iterations`` of them in all.
     X = _as_data(Z)
     x0 = X[:, 0]
     V = np.outer(x0, x0)  # anisotropic start; its hidden profile has a generic argmax
@@ -366,18 +365,14 @@ def _cum_unfolding_power(Z, iterations: int = 16):
     if norm < 1e-15:
         raise ZeroContraction("leading window is zero")
     V /= norm
-    X32 = X.astype(np.float32)
-    _, V32, passes = _unfolding_passes(X32, V.astype(np.float32), _INIT_SETTLED[0], 0, iterations - 1)
-    del X32  # freed before the float64 passes
-    if passes:  # else V stays the exact float64 start
-        V = V32.astype(float)
-    lam, V, _ = _unfolding_passes(X, V, _INIT_SETTLED[1], passes, iterations)
+    V, _, lam = _two_precision(_unfolding_passes, X, V, iterations, _INIT_SETTLED,
+                               lambda X: X.astype(np.float32), lambda V: V.astype(float))
     return lam, V
 
 
-def _unfolding_passes(X, V, settled, passes, cap):
+def _unfolding_passes(X, V, passes, cap, settled):
     """_cum_unfolding_power's passes in the precision of X and V, until V moves
-    less than ``settled`` or the pass count reaches ``cap``; returns (eigenvalue, V, count)."""
+    less than ``settled`` or the pass count reaches ``cap``; returns (V, count, eigenvalue)."""
     lam = 0.0
     while passes < cap:
         passes += 1
@@ -391,7 +386,7 @@ def _unfolding_passes(X, V, settled, passes, cap):
         V /= np.linalg.norm(V)
         if np.max(np.abs(V - previous)) < settled:
             break
-    return lam, V, passes
+    return V, passes, lam
 
 
 @dataclass(frozen=True)
@@ -444,10 +439,9 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     point of the W recursion for unit-modulus window content; on short data
     they may stop short of it, and the recursion then starts from the last
     iterate.  The eigenmatrix comes from at most 16 passes of the implicit
-    cumulant operator: the early passes, which only pick the vertex, run on
-    a float32 copy of the sphered windows, and float64 passes finish it, so
-    ``eigenvalue`` and W are float64.  ``init="zero"`` starts the recursion
-    bare.
+    cumulant operator, run in two precisions (fixedpoint._two_precision):
+    the early passes only pick the vertex, and ``eigenvalue`` and W are
+    float64.  ``init="zero"`` starts the recursion bare.
 
     The W recursion runs exactly, but a block X_b = [u_1 ... u_B] of B = 64
     windows at a time.  Window t's coefficient c_t = gain_t (1 - u_t^T W u_t)

@@ -34,8 +34,7 @@ _CMA_BLOCK = 64
 # 60 against 70 ms at N = 22, T = 20 000, 84 against 79-82 ms at N = 24
 # (302 against 337 ms at T = 100 000), but 143 against 99-101 ms at N = 28.
 _MOMENT_MAX_N = 24
-# symmetric_extract's float32 iterations stop once every row moves by
-# 1 - |<g+, g>| < this bound; float64 iterations then finish to the tolerance
+# the loose bound on every row's 1 - |<g+, g>| of symmetric_extract's _two_precision
 _SYMMETRIC_SETTLED = 1e-6
 
 VARIANTS = ("newton", "fixed_point", "gradient")
@@ -192,6 +191,32 @@ def _check_step_size(step_size: float):
         raise InvalidSpec(f"step_size must be finite and >= 0, got {step_size}")
 
 
+def _extraction(U, score, count, variant: str, max_iterations: int, tolerance: float, seed, whitener):
+    """The set-up both extractions share: (X, W, m, rng, scores, step, E[u u^T]).
+
+    ``count`` (None: one unit per sphered channel), the variant and the
+    stop rule are checked before the data are read.  The path is fixed for
+    the run: when every score is exactly CubicScore and N <= _MOMENT_MAX_N,
+    the data are read once into their fourth moments and ``step`` is
+    _cubic_moment_step's; otherwise it is None and every step streams the
+    data.  E[u u^T] is read with the fourth moments or by a covariance pass.
+    """
+    X = _as_data(U)
+    W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
+    N = len(W)
+    if count is not None and not 1 <= count <= N:
+        raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
+    if variant not in EXTRACTION_VARIANTS:
+        raise InvalidSpec(f"variant must be one of {EXTRACTION_VARIANTS}, got {variant!r}")
+    _check_stop_rule(max_iterations, tolerance)
+    rng = np.random.default_rng(_checked_seed(seed))
+    scores = [score() if callable(score) else score for _ in range(count or N)]
+    if N <= _MOMENT_MAX_N and all(type(s) is CubicScore for s in scores):
+        m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
+        return X, W, m, rng, scores, _cubic_moment_step(m4, m2, newton=variant == "newton"), m2
+    return X, W, m, rng, scores, None, W @ _covariance(X, m) @ W.T
+
+
 def deflate_extract(U, score, count: int, variant: str = "newton", max_iterations: int = 200,
                     tolerance: float = 1e-10, seed: int = 0, whitener=None) -> Separator:
     """Extract ``count`` units sequentially with Gram-Schmidt deflation.
@@ -203,44 +228,28 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     until the direction settles: 1 - |<g_k+1, g_k>| < tolerance, with
     0 < tolerance < 1.  Only the newton and fixed_point variants run here.
 
-    The run fixes its path before the first unit.  When every unit's score
-    is exactly CubicScore and N <= _MOMENT_MAX_N, the data are read once into
-    their fourth moments, and each step is an O(N^4) contraction (see
-    _cubic_moment_step).  Otherwise (a factory that mixes score kinds too)
-    every unit streams the data on each step with its own score, as
-    fastica_step does.  E[u u^T] is read once, beside the fourth moments or
-    by one covariance pass.  With a fitted ``whitener``, U is raw data read
-    through it as fastica_step reads it, count is at most its
-    detected_rank, and the result applies to U.  Without one, U is taken as
-    sphered (W = I, m = 0) and both paths take uncentred moments, whereas
-    estimate_cum4 centres.
+    The run fixes its path before the first unit (see _extraction): units
+    whose scores are all exactly CubicScore, on at most _MOMENT_MAX_N
+    channels, contract the data's fourth moments; any other run (a factory
+    that mixes score kinds too) streams the data on each step, each unit
+    with its own score, as fastica_step does.  With a fitted ``whitener``,
+    U is raw data read through it as fastica_step reads it, count is at
+    most its detected_rank, and the result applies to U.  Without one, U is
+    taken as sphered (W = I, m = 0) and both paths take uncentred moments,
+    whereas estimate_cum4 centres.
 
     Raises NotConverged with the failing row index when a unit stalls, and
     RankDeficient when a settled unit's output power E[y^2] falls below
     whiten's null-direction floor, _RANK_TOLERANCE times E[u u^T]'s largest
     eigenvalue: the unit then lies in the data's null space.
     """
-    X = _as_data(U)
-    W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
-    N = len(W)
-    if not (1 <= count <= N):
-        raise InvalidSpec(f"count must lie in 1..{N}, got {count}")
-    if variant not in EXTRACTION_VARIANTS:
-        raise InvalidSpec(f"variant must be one of {EXTRACTION_VARIANTS}, got {variant!r}")
-    _check_stop_rule(max_iterations, tolerance)
-    rng = np.random.default_rng(_checked_seed(seed))
-    scores = [score() if callable(score) else score for _ in range(count)]
-    if N <= _MOMENT_MAX_N and all(type(s) is CubicScore for s in scores):
-        m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
-        steps = [_cubic_moment_step(m4, m2, newton=variant == "newton")] * count
-    else:
-        m2 = W @ _covariance(X, m) @ W.T
-        steps = [lambda g, s=s: _streamed_step(g, X, W, m, [s], variant)[0] for s in scores]
+    X, W, m, rng, scores, step, m2 = _extraction(U, score, count, variant, max_iterations, tolerance, seed, whitener)
+    steps = [step] * count if step else [lambda g, s=s: _streamed_step(g, X, W, m, [s], variant)[0] for s in scores]
     floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
-    units = np.empty((count, N))
+    units = np.empty((count, len(W)))
     for r, step in enumerate(steps):
         found = units[:r]
-        g = _unit_search(step, _unit(rng.standard_normal(N), found), found, max_iterations, tolerance)
+        g = _unit_search(step, _unit(rng.standard_normal(len(W)), found), found, max_iterations, tolerance)
         if g @ m2 @ g < floor:
             raise RankDeficient(f"unit {r} has output power below the rank floor: it lies in the data's null space")
         units[r] = g
@@ -258,15 +267,11 @@ def symmetric_extract(U, score, variant: str = "newton", max_iterations: int = 2
     1 - |<g+, g>| < tolerance.  No unit inherits the errors of the units
     found before it, as deflation's do.
 
-    The path is deflate_extract's: cubic units on at most _MOMENT_MAX_N
-    channels contract the data's fourth moments; otherwise each iteration
-    streams the data once for all rows.  The first streamed iterations read
-    a float32 copy of the sphered data W (x - m), formed block by block in
-    float64, until every row moves by less than _SYMMETRIC_SETTLED.  The
-    copy is then freed, the rows are made orthonormal in float64, and
-    float64 iterations on the data finish.  max_iterations caps both
-    phases together, the last iteration is always float64, and the
-    result's ``iterations`` counts both.
+    The path is deflate_extract's.  A streamed iteration reads the data
+    once for all rows, in two precisions (_two_precision): the float32 copy
+    is the sphered data, and the rows are made orthonormal in float64, as
+    their float32 rounding would read as a move of ~1e-8.  The result's
+    ``iterations`` counts both phases.
 
     Raises RankDeficient before any step when E[u u^T] has an eigenvalue
     below deflate_extract's rank floor, as N orthonormal rows cannot all
@@ -274,32 +279,17 @@ def symmetric_extract(U, score, variant: str = "newton", max_iterations: int = 2
     the first unsettled row; and ZeroUpdate when the step matrix's smallest
     singular value falls below _NORM_FLOOR times its largest.
     """
-    X = _as_data(U)
-    W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
-    N = len(W)
-    if variant not in EXTRACTION_VARIANTS:
-        raise InvalidSpec(f"variant must be one of {EXTRACTION_VARIANTS}, got {variant!r}")
-    _check_stop_rule(max_iterations, tolerance)
-    rng = np.random.default_rng(_checked_seed(seed))
-    scores = [score() if callable(score) else score for _ in range(N)]
-    G = _polar(rng.standard_normal((N, N)))
-    if N <= _MOMENT_MAX_N and all(type(s) is CubicScore for s in scores):
-        m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
-        _check_full_rank(m2)
-        step = _cubic_moment_step(m4, m2, newton=variant == "newton")
+    X, W, m, rng, scores, step, m2 = _extraction(U, score, None, variant, max_iterations, tolerance, seed, whitener)
+    _check_full_rank(m2)
+    G = _polar(rng.standard_normal((len(W), len(W))))
+    if step:
         G, iterations, unsettled = _symmetric_search(step, G, 0, max_iterations, tolerance)
     else:
-        Z, m2 = _sphered_float32(X, W, m)
-        _check_full_rank(m2)
-        eye, zero = np.eye(N, dtype=np.float32), np.zeros(N, dtype=np.float32)
-        G32, iterations, _ = _symmetric_search(lambda G: _streamed_step(G, Z, eye, zero, scores, variant)[0],
-                                               G.astype(np.float32), 0, max_iterations - 1, _SYMMETRIC_SETTLED)
-        del Z  # freed before the float64 iterations
-        if iterations:  # else G stays the exact float64 start
-            # rows orthonormal in float64: their float32 rounding would read as a move of ~1e-8
-            G = _polar(G32.astype(float))
-        G, iterations, unsettled = _symmetric_search(lambda G: _streamed_step(G, X, W, m, scores, variant)[0],
-                                                     G, iterations, max_iterations, tolerance)
+        def search(data, G, *counts):
+            return _symmetric_search(lambda G: _streamed_step(G, *data, scores, variant)[0], G, *counts)
+
+        G, iterations, unsettled = _two_precision(search, (X, W, m), G, max_iterations, (_SYMMETRIC_SETTLED, tolerance),
+                                                  _sphered_float32, lambda G32: _polar(G32.astype(float)))
     if len(unsettled):
         raise NotConverged(f"rows {unsettled.tolist()} did not settle in {max_iterations} iterations",
                            index=int(unsettled[0]))
@@ -333,16 +323,31 @@ def _symmetric_search(step, G: np.ndarray, iterations: int, cap: int, tolerance:
     return G, iterations, unsettled
 
 
-def _sphered_float32(X: np.ndarray, W: np.ndarray, m: np.ndarray):
-    """(Z, m2): the sphered data u = W (x - m) in float32, each block formed in float64, and E[u u^T] of the blocks."""
-    N, T = len(W), X.shape[1]
-    Z = np.empty((N, T), dtype=np.float32)
-    m2 = np.zeros((N, N))
-    for start in range(0, T, _STEP_BLOCK):
-        U_b = W @ (X[:, start:start + _STEP_BLOCK] - m[:, None])
-        m2 += U_b @ U_b.T
-        Z[:, start:start + _STEP_BLOCK] = U_b
-    return Z, m2 / T
+def _two_precision(search, data, start: np.ndarray, cap: int, bounds, copy, lift):
+    """Run search on a float32 copy of its data while it settles loosely, then on the data in float64.
+
+    search(data, iterate, count, cap, bound) goes on from ``count`` done
+    iterations until its progress falls below ``bound`` or the count
+    reaches ``cap``, and returns (iterate, count, ...).  It runs first on
+    copy(data) from the start cast to float32, for at most cap - 1
+    iterations, to the looser of ``bounds`` = (loose, tight).  The copy is
+    dropped, and the search goes on in float64 to the tight bound, from
+    lift(iterate) or, if no float32 iteration ran, from the exact start:
+    cap counts both phases, and the last iteration is always float64.
+    """
+    low = copy(data)
+    iterate, count, *_ = search(low, start.astype(np.float32), 0, cap - 1, max(bounds))
+    del low  # freed before the float64 iterations
+    return search(data, lift(iterate) if count else start, count, cap, bounds[1])
+
+
+def _sphered_float32(data):
+    """The data (X, W, m) as (Z, I, 0) in float32, Z = W (x - m) formed block by block in float64."""
+    X, W, m = data
+    Z = np.empty((len(W), X.shape[1]), dtype=np.float32)
+    for start in range(0, X.shape[1], _STEP_BLOCK):
+        Z[:, start:start + _STEP_BLOCK] = W @ (X[:, start:start + _STEP_BLOCK] - m[:, None])
+    return Z, np.eye(len(W), dtype=np.float32), np.zeros(len(W), dtype=np.float32)
 
 
 def _modulus_error(y: float, step_size: float) -> float:

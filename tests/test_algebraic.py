@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsskit import (
@@ -375,15 +375,18 @@ def test_jade_exact_on_orthogonally_mixed_design():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(["bpsk", "uniform", "laplace"]), min_size=2, max_size=5),
        st.integers(0, 2**32 - 1))
+# a mixing of condition 8 185: whiten leaves cov(Z) at I + 3.6e-8, so B B^T
+# reads 2.5e-8 off I and B^T is no stand-in for B^-1
+@example(kinds=["bpsk"] * 4, seed=73096)
 def test_jade_is_equivariant_under_orthogonal_mixing(kinds, seed):
-    # jade(R Z) = P jade(Z) R^T for a signed permutation P: the separator
+    # jade(R Z) = P jade(Z) R^-1 for a signed permutation P: the separator
     # follows any orthogonal change of the sphered coordinates
     n = len(kinds)
     A = generate_sources([SourceSpec(k, seed=seed % 10**6 + i) for i, k in enumerate(kinds)], 4000)
     _, Z = whiten(np.random.default_rng(seed).standard_normal((n, n)) @ A.data)
     R = random_orthogonal(n, seed + 1)
     B = jade(Z).matrix
-    assert signed_permutation_gap(jade(R @ Z.data).matrix @ R @ B.T) < 1e-9
+    assert signed_permutation_gap(jade(R @ Z.data).matrix @ R @ np.linalg.inv(B)) < 1e-9
 
 
 def test_jade_single_channel_is_just_the_whitener():

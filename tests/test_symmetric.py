@@ -141,11 +141,24 @@ def test_the_cap_counts_both_phases_and_ends_not_converged(monkeypatch, cap):
     steps = []
     original = fixedpoint._streamed_step
     monkeypatch.setattr(fixedpoint, "_streamed_step",
-                        lambda G, X, *args: steps.append(X.dtype) or original(G, X, *args))
+                        lambda G, *args: steps.append(G.copy()) or original(G, *args))
     with pytest.raises(NotConverged) as info:
         symmetric_extract(U, TanhScore(), max_iterations=cap, whitener=fit_whitener(U))
-    assert steps == [np.float32] * (cap - 1) + [np.float64]
+    assert [G.dtype for G in steps] == [np.float32] * (cap - 1) + [np.float64]
     assert 0 <= info.value.index < 4
+    if cap == 1:  # no float32 step ran: the float64 one starts from the exact seeded polar factor
+        assert np.array_equal(steps[0], _polar(np.random.default_rng(0).standard_normal((4, 4))))
+
+
+@pytest.mark.parametrize("tolerance", [0.1, 0.01, 1e-4])
+def test_a_loose_tolerance_ends_the_float32_steps_too(tolerance):
+    # the float32 steps stop at the looser of their own bound and the
+    # tolerance; the last step is float64, so the run takes at most one more
+    _, U = scene("laplace", 4, 20_000, seed=2)
+    w, Z = whiten(U)
+    _, iterations = reference_symmetric_extract(Z.data, lambda: make_score("tanh"), seed=2, tolerance=tolerance)
+    sep = symmetric_extract(U, lambda: make_score("tanh"), seed=2, tolerance=tolerance, whitener=w)
+    assert sep.iterations <= iterations + 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -213,6 +226,22 @@ def test_cubic_units_up_to_the_bound_contract_the_fourth_moments(monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("score, N, gram", [
+    (CubicScore, 4, True), (TanhScore, 4, False), (CubicScore, _MOMENT_MAX_N + 1, False),
+], ids=["moments", "streamed", "cubic_streamed"])
+def test_each_run_reads_its_second_moments_once(monkeypatch, score, N, gram):
+    # as deflation does: beside the fourth moments, or by one covariance pass
+    _, U = scene("uniform", N, 3_000, seed=N)
+    calls = {"_pair_gram": 0, "_covariance": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(fixedpoint, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(fixedpoint, name, counted)
+    symmetric_extract(U, score, whitener=fit_whitener(U))
+    assert (calls["_pair_gram"], calls["_covariance"]) == ((1, 0) if gram else (0, 1))
+
+
 def test_moment_path_matches_the_streamed_path():
     # one cubic newton run on the fourth moments and one streamed in float64 from the same start
     H, U = scene("uniform", 4, 20_000, seed=9)
@@ -226,10 +255,12 @@ def test_moment_path_matches_the_streamed_path():
 @pytest.mark.parametrize("score", [CubicScore, TanhScore], ids=["moments", "streamed"])
 def test_data_of_lower_rank_are_refused_before_any_step(monkeypatch, score):
     # two sphered sources and a silent channel: N orthonormal rows cannot all
-    # stay out of the null space, so the run stops before its first step
+    # stay out of the null space, so the run stops before its first step and
+    # before the streamed path's float32 copy is made
     _, U = scene("uniform", 2, 4_000, seed=1)
     Z = np.vstack([whiten(U)[1].data, np.zeros((1, 4_000))])
     monkeypatch.setattr(fixedpoint, "_symmetric_search", lambda *args: pytest.fail("a step ran"))
+    monkeypatch.setattr(fixedpoint, "_sphered_float32", lambda *args: pytest.fail("the float32 copy was made"))
     with pytest.raises(RankDeficient, match="rank 2 below their 3 channels"):
         symmetric_extract(Z, score())
 
@@ -238,7 +269,7 @@ def test_bad_variants_and_stop_rules_are_refused_before_the_data_are_read(monkey
     def no_pass(*args, **kwargs):
         raise AssertionError("the data were read")
 
-    for name in ("_pair_gram", "_streamed_step", "_sphered_float32"):
+    for name in ("_pair_gram", "_covariance", "_streamed_step", "_sphered_float32"):
         monkeypatch.setattr(fixedpoint, name, no_pass)
     X = np.random.default_rng(7).standard_normal((3, 300))
     for kwargs in ({"variant": "gradient"}, {"tolerance": 1.0}, {"tolerance": 0.0}, {"max_iterations": 0}):
