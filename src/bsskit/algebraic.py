@@ -27,7 +27,8 @@ from .errors import (
     ZeroUpdate,
 )
 from .fixedpoint import _check_stop_rule, _two_precision, _unit, _unit_search
-from .moments import Cumulant4Tensor, _contract3, _cum4, _cumulant_matrix, _pair_products, tucker_transform, unfold
+from .moments import (_PAIR_BLOCK, Cumulant4Tensor, _contract3, _cum4, _cumulant_matrix, _pair_products,
+                      tucker_transform, unfold)
 from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs
 from .signals import _as_data, window_stack
 
@@ -555,6 +556,18 @@ class DetCmResult:
     rank: int
 
 
+def _pair_r_factor(X: np.ndarray, sphere: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """R factor of the rows [scale * z_i z_j (i <= j), 1], z = sphere @ x: one stack holds R over a block's rows."""
+    n = len(scale)
+    stack = np.zeros((n + 1 + min(X.shape[1], _PAIR_BLOCK), n + 1), order="F")
+    stack[n + 1:, n] = 1.0
+    for P in _pair_products(X, transform=sphere):
+        end = n + 1 + P.shape[1]
+        np.multiply(P.T, scale, out=stack[n + 1:end, :n])
+        stack[:n + 1] = r_factor = np.linalg.qr(stack[:end], mode="r")
+    return r_factor
+
+
 def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     """Solve the constant-modulus equations on a data block.
 
@@ -563,11 +576,12 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     M2 = E[u u^T] = B B^T, z = B^-1 u, and the pair products z_i z_j
     (i <= j, the i < j ones scaled by sqrt 2 so that singular values and
     minimum-norm solutions equal those of all N^2 columns), with a ones
-    column beside them, are streamed through a running QR.  Its R factor
-    gives P = Q R_x with R_x = R_z (B (x) B)^T, and the component Q^T 1, so
-    the rank, the minimum-norm least-squares w and its row space come from
-    the SVD of the small R_x.  g is then read off the dominant eigenpair of
-    the symmetrized reshape of w, scaled so the output has unit modulus:
+    column beside them, are streamed through a running QR on one stack
+    (_pair_r_factor).  Its R factor gives P = Q R_x with
+    R_x = R_z (B (x) B)^T, and the component Q^T 1, so the rank, the
+    minimum-norm least-squares w and its row space come from the SVD of
+    the small R_x.  g is then read off the dominant eigenpair of the
+    symmetrized reshape of w, scaled so the output has unit modulus:
     g = sqrt(|eig|) v.
 
     Finite-alphabet inputs excite strictly fewer than N(N+1)/2 independent
@@ -604,11 +618,7 @@ def deterministic_cm(U, max_refinements: int = 200) -> DetCmResult:
     iu, ju = np.triu_indices(N)
     n = iu.size
     scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
-    r_factor = np.zeros((n + 1, n + 1))
-    for P in _pair_products(X, transform=sphere):
-        rows = np.ones((P.shape[1], n + 1))
-        rows[:, :n] = P.T * scale
-        r_factor = np.linalg.qr(np.vstack((r_factor, rows)), mode="r")
+    r_factor = _pair_r_factor(X, sphere, scale)
     R_z, qt1 = r_factor[:n, :n], r_factor[:n, n]
     # the scaled pair coordinates as rows over the N^2 entries of vec(W)
     halve = np.zeros((n, N * N))

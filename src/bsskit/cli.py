@@ -30,6 +30,7 @@ at every sweep point), and source or mixing values SourceSpec or MixingModel rej
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -525,7 +526,8 @@ def _cmd_eval(args):
     return 0
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)  # built once per process: parsing leaves it as it was
+def _parser():
     parser = argparse.ArgumentParser(prog="bsskit", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -555,8 +557,11 @@ def main(argv=None):
     p.add_argument("--separator", required=True)
     p.add_argument("--mixing", required=True)
     p.set_defaults(func=_cmd_eval)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, InvalidPath, InvalidSpec) as exc:

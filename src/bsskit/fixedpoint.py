@@ -345,8 +345,10 @@ def _sphered_float32(data):
     """The data (X, W, m) as (Z, I, 0) in float32, Z = W (x - m) formed block by block in float64."""
     X, W, m = data
     Z = np.empty((len(W), X.shape[1]), dtype=np.float32)
+    centred = np.empty((len(X), min(X.shape[1], _STEP_BLOCK)))  # one float64 buffer for every block
     for start in range(0, X.shape[1], _STEP_BLOCK):
-        Z[:, start:start + _STEP_BLOCK] = W @ (X[:, start:start + _STEP_BLOCK] - m[:, None])
+        block = X[:, start:start + _STEP_BLOCK]
+        Z[:, start:start + _STEP_BLOCK] = W @ np.subtract(block, m[:, None], out=centred[:, :block.shape[1]])
     return Z, np.eye(len(W), dtype=np.float32), np.zeros(len(W), dtype=np.float32)
 
 

@@ -196,17 +196,18 @@ def _ar1_blocks(rho: float, E: np.ndarray) -> np.ndarray:
     # The AR(1) filter on E's rows read as one zero-padded sequence,
     # _AR_BLOCK samples at a time: one GEMM with the lower-triangular
     # Toeplitz matrix of rho powers gives every block's zero-state response,
-    # and rho^(i+1) x_prev carries the state of the block before in.
+    # and rho^(i+1) x_prev carries the state of the block before in, on
+    # Python floats: numpy's double arithmetic without a numpy call a block.
     powers = rho ** np.arange(_AR_BLOCK + 1)
     lags = np.arange(_AR_BLOCK)
     toeplitz = np.tril(powers[np.abs(lags[:, None] - lags[None, :])])
     X = E @ toeplitz.T
-    states = np.empty(E.shape[0])  # x_prev of each block
-    prev = 0.0
-    for b, end in enumerate(X[:, -1].tolist()):
-        states[b] = prev
-        prev = end + powers[-1] * prev
-    X += states[:, None] * powers[1:]
+    states = []  # x_prev of each block
+    prev, decay = 0.0, float(powers[-1])
+    for end in X[:, -1].tolist():
+        states.append(prev)
+        prev = end + decay * prev
+    X += np.array(states)[:, None] * powers[1:]
     return X
 
 
@@ -267,7 +268,9 @@ def mix(model: MixingModel, A) -> SignalMatrix:
     U = H @ X
     if model.variant == "noisy" and model.noise_std > 0:
         rng = np.random.default_rng([model.noise_seed, 0x6E])
-        U += model.noise_std * rng.standard_normal(U.shape)
+        noise = rng.standard_normal(U.shape)
+        noise *= model.noise_std  # in place: one noise array, the same products
+        U += noise
     return SignalMatrix._adopt(U)
 
 

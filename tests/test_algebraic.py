@@ -48,7 +48,9 @@ from bsskit import (
     window_stack,
 )
 from bsskit import algebraic
-from bsskit.algebraic import _UNIMODAL_BLOCK, UNIMODAL_INITS, _cum_unfolding_power, _pair_coefficients
+from bsskit.algebraic import (_UNIMODAL_BLOCK, UNIMODAL_INITS, _cum_unfolding_power, _pair_coefficients,
+                              _pair_r_factor)
+from bsskit.moments import _pair_products
 
 BPSK_TRIPLE = None  # built lazily below
 
@@ -1067,6 +1069,29 @@ def test_det_cm_matches_the_svd_reference(kind, n, cond, samples):
         return
     assert np.argmax(np.abs(res.g @ H)) == np.argmax(np.abs(g_ref @ H))
     assert np.linalg.norm(res.g - g_ref) <= 1e-6 * np.linalg.norm(g_ref)
+
+
+def reference_pair_r_factor(X, sphere, scale):
+    """Reference for _pair_r_factor: det_cm's running QR with a fresh stack per block."""
+    n = len(scale)
+    r_factor = np.zeros((n + 1, n + 1))
+    for P in _pair_products(X, transform=sphere):
+        rows = np.ones((P.shape[1], n + 1))
+        rows[:, :n] = P.T * scale
+        r_factor = np.linalg.qr(np.vstack((r_factor, rows)), mode="r")
+    return r_factor
+
+
+@pytest.mark.parametrize("samples", [64, 4096, 4097, 20_000])
+@pytest.mark.parametrize("kind", ["bpsk", "uniform"])
+def test_det_cm_r_factor_on_one_stack_is_bit_identical_to_the_per_block_code(kind, samples):
+    H = conditioned_mixing(3, 10.0, samples)
+    X = H @ generate_sources([SourceSpec(kind, seed=samples + i) for i in range(3)], samples).data
+    lam, V = np.linalg.eigh(X @ X.T / samples)  # det_cm's sphering
+    sphere = (V / np.sqrt(lam)).T
+    iu, ju = np.triu_indices(3)
+    scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
+    assert np.array_equal(_pair_r_factor(X, sphere, scale), reference_pair_r_factor(X, sphere, scale))
 
 
 def test_det_cm_binary_residual_stays_at_the_rounding_floor():

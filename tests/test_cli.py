@@ -762,3 +762,11 @@ def test_readme_lists_the_keys_of_every_table_entry(marker, table):
         for key, kind in schema.items():
             if isinstance(kind, tuple):
                 assert set(re.findall(r"`([^`]+)`", notes[key])) == set(kind), (name, key)
+
+
+def test_main_builds_its_parser_once_and_parsing_leaves_it_unchanged():
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(["run", "a.cfg", "--out", "a.jsonl", "--csv", "a.csv"])
+    second = cli._parser().parse_args(["run", "b.cfg"])
+    assert (first.scenario, first.out, first.csv) == ("a.cfg", "a.jsonl", "a.csv")
+    assert (second.scenario, second.out, second.csv) == ("b.cfg", None, None)

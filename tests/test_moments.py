@@ -30,7 +30,9 @@ from bsskit import (
     unfold,
     whiten,
 )
-from bsskit.moments import _PAIR_BLOCK, _cumulant_matrix, _pair_gram, _symmetrize4
+from bsskit import moments
+from bsskit.moments import (_COVARIANCE_BLOCK, _PAIR_BLOCK, _covariance, _cumulant_matrix, _pair_gram,
+                            _symmetrize4)
 
 
 def exact_tensor(c4s):
@@ -219,6 +221,61 @@ def test_pair_gram_holds_every_fourth_and_second_moment(T, with_mean, with_trans
     # permuted index quadruples read one stored sum
     V = m4.reshape(K, K, K, K)
     assert np.array_equal(V, V.transpose(1, 0, 2, 3)) and np.array_equal(V, V.transpose(2, 3, 0, 1))
+
+
+def reference_covariance(X, mean, lag):
+    """Reference for _covariance: two fresh centred arrays per block."""
+    T = X.shape[1]
+    C = np.zeros((len(mean), len(mean)))
+    B = max(1, _COVARIANCE_BLOCK // len(mean))
+    for start in range(0, T - lag, B):
+        stop = min(start + B, T - lag)
+        C += (X[:, start + lag:stop + lag] - mean[:, None]) @ (X[:, start:stop] - mean[:, None]).T
+    C /= T - lag
+    return (C + C.T) / 2.0 if lag == 0 else C
+
+
+@pytest.mark.parametrize("extra", [0, 5])
+@pytest.mark.parametrize("lag", [0, 1, _COVARIANCE_BLOCK // 4 + 7])
+def test_buffered_covariance_is_bit_identical_to_the_per_block_code(lag, extra):
+    # four channels: blocks of _COVARIANCE_BLOCK // 4 samples; T on the
+    # block grid and five samples off it, and a lag whose pairs fill one
+    # partial block
+    T = 2 * (_COVARIANCE_BLOCK // 4) + extra
+    X = np.random.default_rng(lag + extra).laplace(size=(4, T)) + 3.0
+    mean = X.mean(axis=1)
+    assert np.array_equal(_covariance(X, mean, lag), reference_covariance(X, mean, lag))
+
+
+def reference_pair_products(X, mean=None, transform=None):
+    """Reference for _pair_products: a fresh centred and sphered array per block."""
+    K = len(X if transform is None else transform)
+    rows = np.cumsum([0] + list(range(K, 0, -1)))
+    pairs = np.empty((rows[-1], min(X.shape[1], _PAIR_BLOCK)))
+    for start in range(0, X.shape[1], _PAIR_BLOCK):
+        block = X[:, start:start + _PAIR_BLOCK]
+        if mean is not None:
+            block = block - mean[:, None]
+        if transform is not None:
+            block = transform @ block
+        P = pairs[:, :block.shape[1]]
+        for i in range(K):
+            np.multiply(block[i], block[i:], out=P[rows[i]:rows[i + 1]])
+        yield P
+
+
+@pytest.mark.parametrize("T", [_PAIR_BLOCK - 1, _PAIR_BLOCK, _PAIR_BLOCK + 1, 2 * _PAIR_BLOCK])
+@pytest.mark.parametrize("with_mean", [False, True])
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_buffered_pair_gram_is_bit_identical_to_the_per_block_code(T, with_mean, with_transform, monkeypatch):
+    rng = np.random.default_rng(T + 2 * with_mean + with_transform)
+    X = rng.laplace(size=(3, T)) + rng.standard_normal((3, 1))
+    mean = X.mean(axis=1) if with_mean else None
+    transform = rng.standard_normal((2, 3)) if with_transform else None
+    got = _pair_gram(X, mean, transform)
+    monkeypatch.setattr(moments, "_pair_products", reference_pair_products)
+    want = _pair_gram(X, mean, transform)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_cum4_never_builds_a_pair_product_array():

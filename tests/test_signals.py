@@ -96,6 +96,29 @@ def test_blocked_ar1_matches_the_scalar_loop(rho):
     assert np.max(np.abs(x - scalar_ar1(rho, e)[_AR_BURN_IN:])) <= 1e-12
 
 
+def reference_ar1_blocks(rho, E):
+    """Reference for _ar1_blocks: the block-state carry on numpy scalars."""
+    powers = rho ** np.arange(_AR_BLOCK + 1)
+    lags = np.arange(_AR_BLOCK)
+    toeplitz = np.tril(powers[np.abs(lags[:, None] - lags[None, :])])
+    X = E @ toeplitz.T
+    states = np.empty(E.shape[0])
+    prev = 0.0
+    for b, end in enumerate(X[:, -1].tolist()):
+        states[b] = prev
+        prev = end + powers[-1] * prev
+    X += states[:, None] * powers[1:]
+    return X
+
+
+@pytest.mark.parametrize("rho", [0.999, 0.9, 0.5, 0.0, -0.5, -0.999])
+def test_ar1_carry_on_floats_is_bit_identical_to_the_numpy_scalar_carry(rho):
+    for length in (1, 63, 64, 65, 401_000):
+        E = np.zeros((-(-length // _AR_BLOCK), _AR_BLOCK))
+        E.ravel()[:length] = np.random.default_rng(length).standard_normal(length)
+        assert np.array_equal(_ar1_blocks(rho, E), reference_ar1_blocks(rho, E))
+
+
 def test_determinism_same_seed():
     specs = [SourceSpec("laplace", seed=7), SourceSpec("ar1", ar_coefficient=-0.5, seed=2)]
     A = generate_sources(specs, 512)
@@ -231,6 +254,14 @@ def test_noisy_mix_reproducible_and_reduces_to_static():
     U0 = mix(MixingModel("noisy", matrix=H, noise_std=0.0, noise_seed=9), A)
     Us = mix(MixingModel("static", matrix=H), A)
     assert np.allclose(U0.data, Us.data)
+
+
+def test_noisy_mix_scales_the_draw_in_place_to_the_same_bits():
+    A = generate_sources([SourceSpec("laplace", seed=5 + i) for i in range(3)], 5000)
+    H = np.random.default_rng(6).standard_normal((4, 3))
+    U = mix(MixingModel("noisy", matrix=H, noise_std=0.37, noise_seed=11), A)
+    rng = np.random.default_rng([11, 0x6E])  # the noise stream of noise_seed 11
+    assert np.array_equal(U.data, H @ A.data + 0.37 * rng.standard_normal((4, 5000)))
 
 
 def test_convolutive_impulse_response():

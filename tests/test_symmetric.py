@@ -26,7 +26,7 @@ from bsskit import (
     whiten,
 )
 from bsskit import fixedpoint
-from bsskit.fixedpoint import _MOMENT_MAX_N, _NORM_FLOOR
+from bsskit.fixedpoint import _MOMENT_MAX_N, _NORM_FLOOR, _STEP_BLOCK, _sphered_float32
 from bsskit.second_order import _polar
 
 
@@ -293,3 +293,16 @@ def test_symmetric_beats_deflation_by_a_decibel(kind, score):
         deflation.append(separation_index(deflate_extract(U, make, 4, seed=seed, whitener=w).matrix @ H))
     assert np.mean(symmetric) <= np.mean(deflation) - 1.0, (np.mean(symmetric), np.mean(deflation))
 
+
+
+@pytest.mark.parametrize("T", [1, _STEP_BLOCK, 2 * _STEP_BLOCK + 5])
+def test_sphered_float32_is_bit_identical_to_the_per_block_code(T):
+    rng = np.random.default_rng(T)
+    X = rng.laplace(size=(4, T)) + 2.0
+    W, m = rng.standard_normal((3, 4)), X.mean(axis=1)
+    want = np.empty((3, T), dtype=np.float32)
+    for start in range(0, T, _STEP_BLOCK):  # a fresh centred array per block
+        want[:, start:start + _STEP_BLOCK] = W @ (X[:, start:start + _STEP_BLOCK] - m[:, None])
+    Z, eye, zero = _sphered_float32((X, W, m))
+    assert Z.dtype == np.float32 and np.array_equal(Z, want)
+    assert np.array_equal(eye, np.eye(3)) and np.array_equal(zero, np.zeros(3))
