@@ -30,7 +30,7 @@ from .fixedpoint import _check_stop_rule, _two_precision, _unit, _unit_search
 from .moments import (_PAIR_BLOCK, Cumulant4Tensor, _contract3, _cum4, _cumulant_matrix, _pair_products,
                       tucker_transform, unfold)
 from .second_order import Separator, Whitener, _fitted, _sorted_eigh, fix_signs
-from .signals import _as_data, window_stack
+from .signals import _as_data, _blocks, window_stack
 
 UNIMODAL_INITS = ("fourth_order", "zero")
 # windows per block of the unimodal equalizer's W recursion
@@ -120,7 +120,9 @@ def jacobi_diagonalize(C: Cumulant4Tensor, sweep_tolerance: float = 1e-10, max_s
     rows of Q from C as given.  A rotation is applied only when it strictly
     increases the mass.  Sweeps stop when the best single-rotation gain falls
     below ``sweep_tolerance``; NotConverged is raised when ``max_sweeps``
-    sweeps pass without that.
+    sweeps pass without that.  The gain is a mass, which scales as c^2 when
+    C is scaled by c: the default suits a sphered cumulant, whose entries
+    are of order 1, and C scaled by c needs the tolerance 1e-10 c^2.
 
     Returns the orthogonal demixing rotation Q: tucker_transform(C, Q) is
     the (locally) most diagonal representative.
@@ -197,10 +199,12 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
     eigenvalue sign flips do not stall it: 1 - |<g+, g>| < tolerance, with
     0 < tolerance < 1.  Returns (lambda, g), g sign-fixed and lambda = C
     contracted with g on all four modes.  ZeroUpdate when init or a
-    contraction vanishes.
+    contraction vanishes.  It iterates on C scaled exactly, by a power of
+    two, to a largest entry in [1/2, 1), so g is the same at any scale of C.
     """
     _check_stop_rule(max_iterations, tolerance)
-    V = C.values.reshape(C.dim**2, -1)  # the 2x2 unfolding
+    exponent = np.frexp(np.max(np.abs(C.values)))[1]
+    V = np.ldexp(C.values.reshape(C.dim**2, -1), -exponent)  # the 2x2 unfolding
     if init is None:
         g = hoevd(C)[0][:, 0]
     else:
@@ -210,7 +214,7 @@ def hopm(C: Cumulant4Tensor, init=None, max_iterations: int = 500, tolerance: fl
         g = _unit(g)
     g = _unit_search(lambda g: _contract3(V, g), g, np.empty((0, C.dim)), max_iterations, tolerance)
     gg = np.outer(g, g).ravel()
-    return float(gg @ V @ gg), g
+    return float(np.ldexp(gg @ V @ gg, exponent)), g
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,8 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
     and are folded into a symmetric description at the end: columns of the
     mode-1 factor are normalized and the weights refitted by least squares
     on the symmetrized dictionary.  Initialized from the truncated HO-EVD
-    factor unless ``init`` is given.
+    factor unless ``init`` is given.  Cycles stop once the fit error moves
+    by at most tolerance times ||C||, so the fit is the same at any scale of C.
     """
     N = C.dim
     if not (1 <= r <= N):
@@ -288,16 +293,11 @@ def parafac_als(C: Cumulant4Tensor, r: int, init: ParafacFactors | None = None,
         recon = np.einsum("ir,jr,kr,lr->ijkl", *factors)
         err = float(np.linalg.norm(V - recon))
         errors.append(err)
-        if len(errors) > 1 and abs(errors[-2] - err) <= tolerance * max(1.0, norm_c):
+        if len(errors) > 1 and abs(errors[-2] - err) <= tolerance * norm_c:
             converged = True
             break
 
-    H = factors[0].copy()
-    norms = np.linalg.norm(H, axis=0)
-    if np.any(norms < 1e-12):
-        raise SingularLS("a factor column collapsed to zero")
-    H = H / norms
-    H = fix_signs(H)
+    H = fix_signs(factors[0] / np.linalg.norm(factors[0], axis=0))
     gram = (H.T @ H) ** 4
     rhs = np.einsum("ijkl,ir,jr,kr,lr->r", V, H, H, H, H)
     if np.linalg.cond(gram) > 1e12:
@@ -329,12 +329,12 @@ def rank1_init(C: Cumulant4Tensor) -> Rank1Init:
     Takes the dominant-magnitude eigenvector of the 2x2 unfolding,
     reshapes and symmetrizes it into W, and reads the initial
     separator off W's dominant eigenvector.  The dominant eigenvalue must be
-    isolated: a tie (within 1e-8 in magnitude) leaves the eigenvector, and
-    hence the initialization, undetermined.
+    isolated: a tie (magnitudes within a relative 1e-8) leaves the
+    eigenvector, and hence the initialization, undetermined.
     """
     N = C.dim
     eigvals, eigvecs = _sorted_eigh(unfold(C, "2x2"), by_magnitude=True)
-    if N > 1 and abs(abs(eigvals[0]) - abs(eigvals[1])) < 1e-8:
+    if N > 1 and abs(abs(eigvals[0]) - abs(eigvals[1])) <= 1e-8 * abs(eigvals[0]):
         raise DegenerateSpectrum(
             f"two leading unfolding eigenvalues have magnitudes "
             f"{abs(eigvals[0]):.6e} and {abs(eigvals[1]):.6e}"
@@ -501,8 +501,7 @@ def unimodal_equalizer(U, mu1: float, mu2: float, L: int, epochs: int = 1,
     max_asym = 0.0
     trajectory = []
     for _ in range(epochs):
-        for start in range(0, T, B):
-            Xb = X[:, start:start + B]
+        for Xb in _blocks(X, B):
             m = Xb.shape[1]
             gram = Xb.T @ Xb
             norm2 = np.diagonal(gram)

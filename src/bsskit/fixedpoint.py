@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, Diverged, InvalidSpec, NotConverged, Rank
 from .moments import _contract3, _covariance, _pair_gram, kurtosis
 from .scores import CubicScore, _score_call
 from .second_order import _RANK_TOLERANCE, Separator, _polar, _sorted_eigh, fix_signs
-from .signals import _as_data, _checked_seed
+from .signals import _as_data, _blocks, _checked_seed
 
 _NORM_FLOOR = 1e-12
 # samples per block of a fastica_step pass: at N = 4 on one core a step takes
@@ -106,8 +106,7 @@ def _streamed_step(G, X, W, m, scores, variant: str, mu=None):
     units = G.shape[:-1]  # () for one unit, (k,) for a block
     xf, fs, fp = np.zeros((M,) + units, X.dtype), np.zeros(units, X.dtype), np.zeros(units, X.dtype)
     ones = np.ones(min(T, _STEP_BLOCK), X.dtype)  # a block's sums as BLAS products, which beat np.sum here
-    for start in range(0, T, _STEP_BLOCK):
-        X_b = X[:, start:start + _STEP_BLOCK]
+    for X_b in _blocks(X, _STEP_BLOCK):
         ones_b = ones[:X_b.shape[1]]
         Y_b = A @ X_b - shift
         if newton:
@@ -338,13 +337,11 @@ def _two_precision(search, data, start: np.ndarray, cap: int, bounds, copy, lift
 
 
 def _sphered_float32(data):
-    """The data (X, W, m) as (Z, I, 0) in float32, Z = W (x - m) formed block by block in float64."""
+    """The data (X, W, m) as (Z, I, 0) in float32, Z = W (x - m) formed block by block in float64 by _blocks."""
     X, W, m = data
     Z = np.empty((len(W), X.shape[1]), dtype=np.float32)
-    centred = np.empty((len(X), min(X.shape[1], _STEP_BLOCK)))  # one float64 buffer for every block
-    for start in range(0, X.shape[1], _STEP_BLOCK):
-        block = X[:, start:start + _STEP_BLOCK]
-        Z[:, start:start + _STEP_BLOCK] = W @ np.subtract(block, m[:, None], out=centred[:, :block.shape[1]])
+    for Z_b, block in zip(_blocks(Z, _STEP_BLOCK), _blocks(X, _STEP_BLOCK, m, W)):
+        Z_b[:] = block
     return Z, np.eye(len(W), dtype=np.float32), np.zeros(len(W), dtype=np.float32)
 
 
@@ -392,8 +389,7 @@ def cma(U, step_size: float = 0.01, epochs: int = 1):
     if epochs < 1:
         raise InvalidSpec(f"epochs must be at least 1, got {epochs}")
     X = _as_data(U)
-    N, T = X.shape
-    g = np.zeros(N)
+    g = np.zeros(len(X))
     g[0] = 1.0
     B = _CMA_BLOCK
     gram = np.empty((B, B))
@@ -404,8 +400,7 @@ def cma(U, step_size: float = 0.01, epochs: int = 1):
     for epoch in range(epochs):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                for start in range(0, T, B):
-                    X_b = X[:, start:start + B]
+                for X_b in _blocks(X, B):
                     m = X_b.shape[1]
                     gram[:m, :m] = X_b.T @ X_b
                     p = (g @ X_b).tolist()

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial import hermite_e
 
 from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec, LagTooLarge
-from .signals import _as_data
+from .signals import _as_data, _blocks
 
 _INV_PERMS4 = [tuple(np.argsort(perm)) for perm in itertools.permutations(range(4))]
 
@@ -100,9 +100,8 @@ def sample_covariance(U, lag: int = 0) -> LaggedCovariance:
 def _covariance(X: np.ndarray, mean: np.ndarray, lag: int = 0) -> np.ndarray:
     """sample_covariance of X about the given mean, summed one block at a time.
 
-    Each pair of blocks is centred into two buffers made once per call: two
-    even at lag 0, where one would turn the GEMM into a slower SYRK.
-    """
+    Two _blocks readers centre the late and the early samples of the pairs: two
+    even at lag 0, where one buffer would turn the GEMM into a slower SYRK."""
     T = X.shape[1]
     if lag < 0:
         raise InvalidSpec(f"lag must be nonnegative, got {lag}")
@@ -110,12 +109,8 @@ def _covariance(X: np.ndarray, mean: np.ndarray, lag: int = 0) -> np.ndarray:
         raise LagTooLarge(f"lag {lag} leaves no pairs in {T} samples")
     C = np.zeros((len(mean), len(mean)))
     B = max(1, _COVARIANCE_BLOCK // len(mean))  # samples
-    late, early = np.empty((2, len(mean), min(B, T - lag)))
-    for start in range(0, T - lag, B):
-        b = min(B, T - lag - start)
-        np.subtract(X[:, start + lag:start + lag + b], mean[:, None], out=late[:, :b])
-        np.subtract(X[:, start:start + b], mean[:, None], out=early[:, :b])
-        C += late[:, :b] @ early[:, :b].T
+    for late, early in zip(_blocks(X[:, lag:], B, mean), _blocks(X[:, :T - lag], B, mean)):
+        C += late @ early.T
     C /= T - lag
     return (C + C.T) / 2.0 if lag == 0 else C
 
@@ -124,22 +119,15 @@ def _pair_products(X: np.ndarray, mean: np.ndarray | None = None, transform: np.
     """Pair products of the samples of X, _PAIR_BLOCK samples at a time.
 
     Yields K(K+1)/2 x b blocks whose rows are z_i z_j for i <= j in
-    np.triu_indices order, z = transform @ (x - mean), each part left out when
-    not given.  The pair products and the centred and sphered samples each
-    fill one buffer made once per call: a block yielded is overwritten by the next.
+    np.triu_indices order, z a block of _blocks(X, _PAIR_BLOCK, mean, transform).
+    The pair products fill one buffer made once per call: a block yielded
+    is overwritten by the next.
     """
     K = len(X if transform is None else transform)
     rows = np.cumsum([0] + list(range(K, 0, -1)))  # first pair row of each i
     pairs = np.empty((rows[-1], min(X.shape[1], _PAIR_BLOCK)))
-    centred = None if mean is None else np.empty((len(X), pairs.shape[1]))
-    sphered = None if transform is None else np.empty((K, pairs.shape[1]))
-    for start in range(0, X.shape[1], _PAIR_BLOCK):
-        block = X[:, start:start + _PAIR_BLOCK]
+    for block in _blocks(X, _PAIR_BLOCK, mean, transform):
         P = pairs[:, :block.shape[1]]
-        if mean is not None:
-            block = np.subtract(block, mean[:, None], out=centred[:, :P.shape[1]])
-        if transform is not None:
-            block = np.matmul(transform, block, out=sphered[:, :P.shape[1]])
         for i in range(K):
             np.multiply(block[i], block[i:], out=P[rows[i]:rows[i + 1]])
         yield P

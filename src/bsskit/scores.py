@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateChannel, DimensionMismatch, InvalidSpec
+from .signals import _blocks
 
 _FORGETTING = 0.99  # of the sign-switching score's running moments
 # samples per block of a batch update: every weight of one block stays far above
@@ -162,8 +163,7 @@ class SignSwitchingScore(ScoreFunction):
         elif T > 1:  # the same recursion in closed form, one block of n samples at a time:
             # weight lam^(n-1-t) (1-lam) on sample t, and lam^n on the moments before it
             w = (1.0 - lam) * lam ** np.arange(min(T, _FORGET_BLOCK) - 1, -1, -1, dtype=float)
-            for start in range(0, T, _FORGET_BLOCK):
-                y2_b = y2[start:start + _FORGET_BLOCK]
+            for y2_b in _blocks(y2, _FORGET_BLOCK):
                 w_b = w[w.size - y2_b.size:]
                 self.m2 = lam**y2_b.size * self.m2 + float(w_b @ y2_b)
                 self.m4 = lam**y2_b.size * self.m4 + float(w_b @ (y2_b * y2_b))

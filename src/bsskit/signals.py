@@ -49,12 +49,30 @@ def _checked_seed(seed, name: str = "seed"):
     return seed
 
 
+def _blocks(X: np.ndarray, size: int, mean: np.ndarray | None = None, transform: np.ndarray | None = None):
+    """X's samples ``size`` at a time along its last axis, for every pass over a signal.
+
+    A block is a view of X, or transform @ (x - mean) with either part left
+    out when not given.  Each part fills one buffer made once per call, so
+    a block yielded is overwritten by the next; a view writes through to X.
+    """
+    width = min(size, X.shape[-1])
+    centred = None if mean is None else np.empty(X.shape[:-1] + (width,))
+    sphered = None if transform is None else np.empty((len(transform), width))
+    for start in range(0, X.shape[-1], size):
+        block = X[..., start:start + size]
+        if mean is not None:
+            block = np.subtract(block, mean[..., None], out=centred[..., :block.shape[-1]])
+        if transform is not None:
+            block = np.matmul(transform, block, out=sphered[:, :block.shape[-1]])
+        yield block
+
+
 def _checked_signal(arr: np.ndarray) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatch(f"signal data must be a 2-D array of at least 1 x 1, got shape {arr.shape}")
-    for start in range(0, arr.shape[1], _SLICE):
-        if not np.isfinite(arr[:, start:start + _SLICE]).all():
-            raise InvalidSpec("signal data contains non-finite entries")
+    if not all(np.isfinite(block).all() for block in _blocks(arr, _SLICE)):
+        raise InvalidSpec("signal data contains non-finite entries")
     return arr
 
 
@@ -174,9 +192,9 @@ def _draw(spec: SourceSpec, row: np.ndarray, rng: np.random.Generator) -> None:
         b = 1.0 / math.sqrt(2.0)
         tiny = np.finfo(float).tiny
         rng.random(out=row)
-        for start in range(0, T, _SLICE):
-            u = np.clip(row[start:start + _SLICE], tiny, None)
-            row[start:start + _SLICE] = np.where(
+        for block in _blocks(row, _SLICE):
+            u = np.clip(block, tiny, None)
+            block[:] = np.where(
                 u < 0.5, b * np.log(2.0 * u), -b * np.log(np.clip(2.0 * (1.0 - u), tiny, None)))
     elif spec.kind == "gaussian":
         rng.standard_normal(out=row)

@@ -565,6 +565,19 @@ def test_parafac_error_never_increases():
     assert np.all(diffs <= 1e-12)
 
 
+@pytest.mark.parametrize("c", [1e3, 1e-6, 1e-9, 1e-12])
+def test_parafac_fits_alike_at_any_scale_of_the_tensor(c):
+    # the stop rule is relative and no check is absolute, so a scaled tensor
+    # runs the same cycles to the same relative error
+    H = np.random.default_rng(7).standard_normal((4, 3))
+    C = ParafacFactors(H / np.linalg.norm(H, axis=0), np.array([1.0, -2.0, 0.7])).reconstruction()
+    fit = parafac_als(Cumulant4Tensor(C), 3)
+    scaled = parafac_als(Cumulant4Tensor(c * C), 3)
+    assert fit.converged and scaled.converged and len(scaled.error_trajectory) == len(fit.error_trajectory)
+    assert np.linalg.norm(scaled.reconstruction() - c * C) < 1e-9 * np.linalg.norm(c * C)
+    assert np.allclose(scaled.weights, c * fit.weights, rtol=1e-8, atol=0.0)
+
+
 # ----------------------------------------------------------------- kruskal
 
 
@@ -621,6 +634,19 @@ def test_rank1_init_refuses_tied_spectrum():
     C = tucker_transform(diag_tensor([-2.0, -2.0]), random_orthogonal(2, 54))
     with pytest.raises(DegenerateSpectrum):
         rank1_init(C)
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-6, 1e3])
+def test_rank1_init_and_hopm_are_the_same_at_any_scale_of_the_tensor(c):
+    # the raw cumulant of four uniform sources; in millivolts it is 1e-12 of this
+    A = generate_sources([SourceSpec("uniform", seed=63 + k) for k in range(4)], 20_000)
+    C = estimate_cum4(mix(MixingModel("static", matrix=random_orthogonal(4, 64)), A))
+    scaled = Cumulant4Tensor(c * C.values)
+    assert abs(float(rank1_init(scaled).g0 @ rank1_init(C).g0)) == pytest.approx(1.0, abs=1e-14)
+    lam, g = hopm(C)
+    lam_c, g_c = hopm(scaled)
+    assert np.allclose(g_c, g, rtol=0.0, atol=1e-14)
+    assert lam_c == pytest.approx(c * lam, rel=1e-13)
 
 
 # ---------------------------------------------------------------- unimodal
@@ -1130,6 +1156,8 @@ ALGEBRAIC_FAILURES = {
     "hopm_init_of_zero_norm": (lambda: hopm(_rank2_tensor(), init=np.zeros(3)), ZeroUpdate),
     "hopm_on_a_zero_tensor": (lambda: hopm(diag_tensor([0.0, 0.0, 0.0])), ZeroUpdate),
     "kruskal_check_of_a_float": (lambda: kruskal_check(2.0, 1), InvalidSpec),
+    "parafac_on_a_zero_tensor": (lambda: parafac_als(diag_tensor([0.0, 0.0, 0.0]), 2), SingularLS),
+    "rank1_init_on_a_zero_tensor": (lambda: rank1_init(diag_tensor([0.0, 0.0, 0.0])), DegenerateSpectrum),
     "parafac_from_two_equal_columns": (
         lambda: parafac_als(_rank2_tensor(), 2, init=ParafacFactors(np.ones((3, 2)) / math.sqrt(3.0), np.ones(2))),
         SingularLS),

@@ -26,7 +26,7 @@ from bsskit import (
     mix,
     window_stack,
 )
-from bsskit.signals import _AR_BLOCK, _AR_BURN_IN, _ar1_blocks
+from bsskit.signals import _AR_BLOCK, _AR_BURN_IN, _ar1_blocks, _blocks
 
 SQRT3 = np.sqrt(3.0)
 
@@ -194,6 +194,55 @@ def test_in_place_draws_match_the_one_line_draws(T, seed):
     A = generate_sources(specs, T)
     expected = np.vstack([reference_draw(spec, T, np.random.default_rng([seed, i])) for i, spec in enumerate(specs)])
     assert A.data.tobytes() == expected.tobytes()
+
+
+def reference_blocks(X, size, mean=None, transform=None):
+    """The sliced loop _blocks replaces: a view, or a fresh centred and sphered array, per block."""
+    for start in range(0, X.shape[-1], size):
+        block = X[..., start:start + size]
+        if mean is not None:
+            block = block - mean[..., None]
+        if transform is not None:
+            block = transform @ block
+        yield block
+
+
+BLOCK = 8
+
+
+@pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize("ndim, parts", [(1, "view"), (1, "centred"), (2, "view"), (2, "centred"), (2, "sphered")])
+def test_blocks_yield_what_the_sliced_loops_formed(T, ndim, parts, monkeypatch):
+    rng = np.random.default_rng(T)
+    X = rng.laplace(size=(3, T)) + rng.standard_normal((3, 1))
+    mean = X.mean(axis=1) if parts != "view" else None
+    transform = rng.standard_normal((2, 3)) if parts == "sphered" else None
+    if ndim == 1:
+        X, mean = X[0], None if mean is None else mean[0]
+    made, empty = [], np.empty
+
+    def counted_empty(*args, **kwargs):
+        made.append(args)
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", counted_empty)
+    got = [(block, block.copy()) for block in _blocks(X, BLOCK, mean, transform)]
+    monkeypatch.undo()
+    want = list(reference_blocks(X, BLOCK, mean, transform))
+    assert len(got) == len(want)
+    assert all(copy.tobytes() == w.tobytes() for (_, copy), w in zip(got, want))
+    # one buffer per part given, made once for the call: every block lies in it, or is a view of X
+    assert len(made) == {"view": 0, "centred": 1, "sphered": 2}[parts]
+    home = X if parts == "view" else got[0][0]
+    assert all(np.shares_memory(block, home) for block, _ in got)
+
+
+def test_blocks_views_write_through():
+    # the Laplace draw transforms its row in place through the views
+    row = np.arange(3 * BLOCK + 7, dtype=float)
+    for block in _blocks(row, BLOCK):
+        block[:] = -block
+    assert np.array_equal(row, -np.arange(3 * BLOCK + 7, dtype=float))
 
 
 def test_signal_matrix_copies_its_input():
