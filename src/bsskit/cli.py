@@ -30,6 +30,7 @@ at every sweep point), and source or mixing values SourceSpec or MixingModel rej
 """
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import json
@@ -560,7 +561,27 @@ def _parser():
     return parser
 
 
+# glibc's mallopt parameters.  Under the largest mmap threshold, 32 MiB (fixing it also
+# stops glibc raising it), a repetition's N x T arrays come from the heap, not from fresh
+# mappings the kernel faults in; a repetition frees some tens of MB at the heap top, so
+# trimming it only above 1 GiB keeps those pages for the next repetition.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache  # once per process; library calls leave the allocator alone
+def _keep_freed_memory():
+    """Have glibc keep freed arrays' pages for reuse; nothing where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None):
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -154,19 +154,21 @@ class SignSwitchingScore(ScoreFunction):
         return SignSwitchingScore, self.kurtosis_sign
 
     def update(self, y):
-        y2 = np.square(np.asarray(y, dtype=float).ravel())
-        lam, T = _FORGETTING, y2.size
-        if T == 1:  # exponential forgetting, one sample
-            y2 = float(y2[0])
+        lam = _FORGETTING
+        if getattr(y, "size", None) == 1:  # exponential forgetting of one numpy sample, on Python floats
+            y2 = y.item()
+            y2 *= y2
             self.m2 = lam * self.m2 + (1.0 - lam) * y2
             self.m4 = lam * self.m4 + (1.0 - lam) * (y2 * y2)
-        elif T > 1:  # the same recursion in closed form, one block of n samples at a time:
-            # weight lam^(n-1-t) (1-lam) on sample t, and lam^n on the moments before it
-            w = (1.0 - lam) * lam ** np.arange(min(T, _FORGET_BLOCK) - 1, -1, -1, dtype=float)
-            for y2_b in _blocks(y2, _FORGET_BLOCK):
-                w_b = w[w.size - y2_b.size:]
-                self.m2 = lam**y2_b.size * self.m2 + float(w_b @ y2_b)
-                self.m4 = lam**y2_b.size * self.m4 + float(w_b @ (y2_b * y2_b))
+            return
+        # the same recursion in closed form, one block of n samples at a time:
+        # weight lam^(n-1-t) (1-lam) on sample t, and lam^n on the moments before it
+        y2 = np.square(np.asarray(y, dtype=float).ravel())
+        w = (1.0 - lam) * lam ** np.arange(min(y2.size, _FORGET_BLOCK) - 1, -1, -1, dtype=float)
+        for y2_b in _blocks(y2, _FORGET_BLOCK):
+            w_b = w[w.size - y2_b.size:]
+            self.m2 = lam**y2_b.size * self.m2 + float(w_b @ y2_b)
+            self.m4 = lam**y2_b.size * self.m4 + float(w_b @ (y2_b * y2_b))
 
     def f(self, y):
         y = _floats(y)

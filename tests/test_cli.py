@@ -1,5 +1,6 @@
 """Scenario parsing, dispatch, record emission, exit codes."""
 
+import ctypes
 import json
 import os
 import re
@@ -781,3 +782,69 @@ def test_main_builds_its_parser_once_and_parsing_leaves_it_unchanged():
     second = cli._parser().parse_args(["run", "b.cfg"])
     assert (first.scenario, first.out, first.csv) == ("a.cfg", "a.jsonl", "a.csv")
     assert (second.scenario, second.out, second.csv) == ("b.cfg", None, None)
+
+
+def _libc_has_mallopt():
+    try:
+        return sys.platform.startswith("linux") and hasattr(ctypes.CDLL("libc.so.6"), "mallopt")
+    except OSError:
+        return False
+
+
+# minor page faults each of three `bsskit run` calls adds in one process; importing
+# the CLI and calling run_experiment must leave the allocator policy unapplied
+FAULT_PROBE = """\
+import resource, sys
+from bsskit import cli
+scenario, specs = cli.load_scenario(sys.argv[1])
+cli.run_experiment(scenario, specs)
+assert cli._keep_freed_memory.cache_info().currsize == 0
+added = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+    added.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*added)
+"""
+
+LONG_JADE = ("".join(f"source.{i}.kind = uniform\n" for i in range(1, 5))
+             + "samples = 200000\nmixing = random_orthogonal\nalgorithm = jade\nseed = 1\nrepetitions = 2\n")
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="needs Linux's libc with mallopt")
+def test_repeated_runs_in_one_process_reuse_the_freed_pages(tmp_path):
+    # each 4 x 200 000 array is 6.4 MB: glibc's default thresholds map every
+    # array of that size afresh (2 354 faults a call); kept on the heap, the
+    # second and third calls find their pages already there
+    run = subprocess.run([sys.executable, "-c", FAULT_PROBE, put(tmp_path, LONG_JADE), str(tmp_path / "r.jsonl")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert run.returncode == 0, run.stderr
+    first, second, third = map(int, run.stdout.split())
+    assert second < 100 and third < 100, (first, second, third)
+
+
+@pytest.mark.parametrize("libc", ["missing", "without_mallopt"])
+def test_without_mallopt_runs_are_unchanged_and_libc_is_loaded_once(tmp_path, monkeypatch, libc):
+    scenario = put(tmp_path, JADE_SCENARIO.replace("repetitions = 5", "repetitions = 2"))
+    assert main(["run", scenario, "--out", str(tmp_path / "plain.jsonl")]) == 0
+    loads = []
+
+    def cdll(name, *args, **kwargs):
+        loads.append(name)
+        if libc == "missing":
+            raise OSError(f"{name}: cannot open shared object file")
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._keep_freed_memory.cache_clear()
+    try:
+        for name in ("first", "second"):
+            assert main(["run", scenario, "--out", str(tmp_path / f"{name}.jsonl")]) == 0
+    finally:
+        cli._keep_freed_memory.cache_clear()
+    assert len(loads) == 1
+
+    def without_wall_time(name):
+        return [{k: v for k, v in rec.items() if k != "elapsed_s"} for rec in records_of(tmp_path / f"{name}.jsonl")]
+
+    assert without_wall_time("first") == without_wall_time("second") == without_wall_time("plain")

@@ -142,6 +142,27 @@ def test_single_sample_updates_equal_one_batch_update():
     assert step.m4 == pytest.approx(batch.m4, rel=1e-12)
 
 
+def _one_sample_reference(m2, m4, y):
+    # the one-sample recursion as it read on numpy arrays
+    y2 = float(np.square(np.asarray(y, dtype=float).ravel())[0])
+    lam = _FORGETTING
+    return lam * m2 + (1.0 - lam) * y2, lam * m4 + (1.0 - lam) * (y2 * y2)
+
+
+@pytest.mark.parametrize("wrap", [
+    np.float64, np.float32, lambda v: np.array([v]), lambda v: np.array([[v]]), np.array, float, lambda v: [v],
+], ids=["float64", "float32", "shape_1", "shape_1x1", "0d", "python_float", "list"])
+def test_a_one_sample_update_is_the_recursion_bit_for_bit(wrap):
+    y = np.random.default_rng(24).laplace(size=500)
+    s = SignSwitchingScore()
+    m2, m4 = s.m2, s.m4
+    for v in y:
+        s.update(wrap(v))
+        m2, m4 = _one_sample_reference(m2, m4, wrap(v))
+        assert (s.m2, s.m4) == (m2, m4)
+    assert type(s.m2) is float and type(s.m4) is float
+
+
 @pytest.mark.parametrize("draw, sign", [
     (lambda rng: rng.uniform(-1.0, 1.0, 5000), -1.0),
     (lambda rng: rng.laplace(size=5000), 1.0),
