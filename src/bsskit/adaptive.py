@@ -2,8 +2,8 @@
 
 The criterion J(G) = ln|det G| + E[sum_i log phi_i(y_i)], y = G u, is climbed
 either with the plain gradient (matrix inversion per step), the relative
-gradient (equivariant, inversion-free), an anti-Hebbian two-family variant,
-or the nonlinear-PCA rule on prewhitened data.  A stability report evaluates
+gradient (equivariant, inversion-free), the anti-Hebbian variant, whose
+second family is tanh, or the nonlinear-PCA rule on prewhitened data.  A stability report evaluates
 the local conditions that decide whether a separating point attracts.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Diverged, InvalidSpec, SingularG
 from .fixedpoint import _check_step_size, _check_stop_rule
-from .scores import _apply_scores, _score_call, make_score
+from .scores import _apply_scores, _score_call
 from .second_order import Separator, _polar, whiten
 from .signals import _as_data, _checked_seed
 
@@ -25,7 +25,6 @@ _DIVERGENCE_NORM = 1e6
 MODES = ("plain", "relative", "nonlinear_pca", "anti_hebbian")
 INITS = ("identity", "random_orthogonal")
 
-_ANTI_HEBBIAN_SCORE = "tanh"  # the anti-Hebbian rule's second score family g
 _PAIR_MARGIN = 0.05  # see stability_check
 
 
@@ -86,8 +85,8 @@ def universal_criterion(G, U, scores) -> float:
     return float(np.log(abs(det))) + total
 
 
-def _direction(G, X, Y, mode, f, g=None):
-    """Each rule's direction averaged over the columns of X (Y = G X; f, g from _resolve),
+def _direction(G, X, Y, mode, f):
+    """Each rule's direction averaged over the columns of X (Y = G X, f the scores' call from _score_call),
     so one column gives the per-sample one; .dot, as @'s dispatch costs more at N <= 8."""
     T = X.shape[1]
     F = f(Y)
@@ -98,10 +97,8 @@ def _direction(G, X, Y, mode, f, g=None):
         return np.linalg.inv(G).T - _mean(F.dot(X.T), T)
     if mode == "relative":
         return G - _mean(F.dot(Y.T.dot(G)), T)
-    if mode == "anti_hebbian":
-        if g is None:
-            raise InvalidSpec("anti_hebbian mode needs the second score family")
-        return G - _mean(F.dot(g(Y).T.dot(G)), T)
+    if mode == "anti_hebbian":  # its second family g is tanh
+        return G - _mean(F.dot(np.tanh(Y).T.dot(G)), T)
     if mode == "nonlinear_pca":
         return _mean(F.dot((X - G.T.dot(F)).T), T)
     raise InvalidSpec(f"no update direction for mode {mode!r}")
@@ -111,31 +108,27 @@ def _mean(total, T):  # a sum over T samples divided by T; one sample's sum is i
     return total if T == 1 else total / T
 
 
-def _resolve(scores, g_scores, N):  # _direction's f and g for N channels; g is None without g_scores
-    return _score_call(scores, "f", N), None if g_scores is None else _score_call(g_scores, "f", N)
-
-
-def adaptive_update(G, u, scores, cfg: AdaptConfig, g_scores=None):
+def adaptive_update(G, u, scores, cfg: AdaptConfig):
     """One stochastic update of G from a single sample u.
 
     plain:         G + mu (G^-T - f(y) u^T)
     relative:      G + mu (I - f(y) y^T) G
-    anti_hebbian:  G + mu (I - f(y) g(y)^T) G
+    anti_hebbian:  G + mu (I - f(y) g(y)^T) G, g = tanh
     nonlinear_pca: polar factor of G + mu f(y) [u - G^T f(y)]^T, for sphered u
     """
     G = np.asarray(G, dtype=float)
     u = np.asarray(u, dtype=float).reshape(-1, 1)
-    G = G + cfg.step_size * _direction(G, u, G.dot(u), cfg.mode, *_resolve(scores, g_scores, G.shape[0]))
+    G = G + cfg.step_size * _direction(G, u, G.dot(u), cfg.mode, _score_call(scores, "f", G.shape[0]))
     return _polar(G) if cfg.mode == "nonlinear_pca" else G
 
 
-def batch_update_direction(G, U, scores, mode: str, g_scores=None):
+def batch_update_direction(G, U, scores, mode: str):
     """Batch-averaged update direction (the expectation the per-sample
     updates follow); used for gradient and stationarity checks.
     """
     G = np.asarray(G, dtype=float)
     X = _as_data(U)
-    return _direction(G, X, G @ X, mode, *_resolve(scores, g_scores, X.shape[0]))
+    return _direction(G, X, G @ X, mode, _score_call(scores, "f", X.shape[0]))
 
 
 def run_separation(U, scores, cfg: AdaptConfig):
@@ -153,8 +146,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
         whitener, U = whiten(U)
     X = _as_data(U)
     N = X.shape[0]
-    g_scores = [make_score(_ANTI_HEBBIAN_SCORE) for _ in range(N)] if cfg.mode == "anti_hebbian" else None
-    f, g = _resolve(scores, g_scores, N)  # once per run; this checks the channel count
+    f = _score_call(scores, "f", N)  # once per run; this checks the channel count
     if cfg.init == "identity":
         G = np.eye(N)
     else:
@@ -175,7 +167,7 @@ def run_separation(U, scores, cfg: AdaptConfig):
                         s.update(y[i])
                     if tracking:  # the updates may have moved a score's batch key
                         f = _score_call(scores, "f", N)
-                    G = G + cfg.step_size * _direction(G, u, y, cfg.mode, f, g)
+                    G = G + cfg.step_size * _direction(G, u, y, cfg.mode, f)
                     if cfg.mode == "nonlinear_pca":
                         G = _polar(G)
         except FloatingPointError as exc:
@@ -206,8 +198,7 @@ def stability_check(Y, scores) -> StabilityReport:
     Y = _as_data(Y)
     N = Y.shape[0]
     sigma2 = np.mean(Y * Y, axis=1)
-    F = _apply_scores(scores, Y)
-    Fp = _apply_scores(scores, Y, method="fprime")
+    F, Fp = _apply_scores(scores, Y, "f_and_fprime")
     k = np.mean(Fp, axis=1)
     m = np.mean(Y * Y * Fp, axis=1)
     efy = np.mean(F * Y, axis=1)

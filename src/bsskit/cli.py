@@ -48,9 +48,9 @@ from .algebraic import UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonaliz
 from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
 from .fixedpoint import EXTRACTION_VARIANTS, cma, symmetric_extract
 from .metrics import _clamped_db, separation_index
-from .moments import estimate_cum4
+from .moments import _cum4
 from .scores import SCORE_KINDS, make_score
-from .second_order import amuse, fit_whitener, whiten
+from .second_order import _fitted, amuse, fit_whitener, whiten
 from .signals import SOURCE_KINDS, MixingModel, SourceSpec, generate_sources, mix
 
 # numpy refuses an array whose byte count exceeds the largest intp
@@ -304,8 +304,8 @@ def _jade(m, params):
 
 
 def _jacobi(m, params):
-    whitener = fit_whitener(m.U)
-    Q = jacobi_diagonalize(estimate_cum4(m.U, whitener=whitener), **params)
+    whitener, X = _fitted(m.U)  # U checked and its mean taken once, as jade does
+    Q = jacobi_diagonalize(_cum4(X, whitener.mean, whitener.matrix), **params)
     return _index(m, Q @ whitener.matrix), None, None
 
 
@@ -316,8 +316,8 @@ def _cma(m, params):
 
 
 def _rank1_sea(m, params):
-    whitener = fit_whitener(m.U)
-    C = estimate_cum4(m.U, whitener=whitener)
+    whitener, X = _fitted(m.U)
+    C = _cum4(X, whitener.mean, whitener.matrix)
     _, g = hopm(C, init=rank1_init(C).g0, **params)
     return _index(m, g @ whitener.matrix), None, None
 

@@ -187,7 +187,7 @@ def _check_step_size(step_size: float):
 
 
 def _extraction(U, score, count, variant: str, max_iterations: int, tolerance: float, seed, whitener):
-    """The set-up both extractions share: (X, W, m, rng, scores, step, E[u u^T]).
+    """The set-up both extractions share: (X, W, m, rng, scores, step, E[u u^T], the rank floor).
 
     ``count`` (None: one unit per sphered channel), the variant and the
     stop rule are checked before the data are read.  The path is fixed for
@@ -195,6 +195,8 @@ def _extraction(U, score, count, variant: str, max_iterations: int, tolerance: f
     the data are read once into their fourth moments and ``step`` is
     _cubic_moment_step's; otherwise it is None and every step streams the
     data.  E[u u^T] is read with the fourth moments or by a covariance pass.
+    The rank floor is _RANK_TOLERANCE times its largest eigenvalue; with
+    count None, RankDeficient when its smallest lies below the floor.
     """
     X = _as_data(U)
     W, m = (np.eye(len(X)), np.zeros(len(X))) if whitener is None else whitener._affine(X)
@@ -208,8 +210,15 @@ def _extraction(U, score, count, variant: str, max_iterations: int, tolerance: f
     scores = [score() if callable(score) else score for _ in range(count or N)]
     if N <= _MOMENT_MAX_N and all(type(s) is CubicScore for s in scores):
         m4, m2 = _pair_gram(X) if whitener is None else _pair_gram(X, m, W)
-        return X, W, m, rng, scores, _cubic_moment_step(m4, m2, newton=variant == "newton"), m2
-    return X, W, m, rng, scores, None, W @ _covariance(X, m) @ W.T
+        step = _cubic_moment_step(m4, m2, newton=variant == "newton")
+    else:
+        step, m2 = None, W @ _covariance(X, m) @ W.T
+    eigvals = _sorted_eigh(m2)[0]
+    floor = _RANK_TOLERANCE * eigvals[0]
+    if count is None and eigvals[-1] < floor:
+        raise RankDeficient(f"the data have rank {int(np.sum(eigvals >= floor))} below their {N} channels: "
+                            "some unit would lie in their null space")
+    return X, W, m, rng, scores, step, m2, floor
 
 
 def deflate_extract(U, score, count: int, variant: str = "newton", max_iterations: int = 200,
@@ -238,9 +247,9 @@ def deflate_extract(U, score, count: int, variant: str = "newton", max_iteration
     whiten's null-direction floor, _RANK_TOLERANCE times E[u u^T]'s largest
     eigenvalue: the unit then lies in the data's null space.
     """
-    X, W, m, rng, scores, step, m2 = _extraction(U, score, count, variant, max_iterations, tolerance, seed, whitener)
+    X, W, m, rng, scores, step, m2, floor = _extraction(U, score, count, variant, max_iterations, tolerance, seed,
+                                                        whitener)
     steps = [step] * count if step else [lambda g, s=s: _streamed_step(g, X, W, m, [s], variant)[0] for s in scores]
-    floor = _RANK_TOLERANCE * _sorted_eigh(m2)[0][0]
     units = np.empty((count, len(W)))
     for r, step in enumerate(steps):
         found = units[:r]
@@ -274,8 +283,7 @@ def symmetric_extract(U, score, variant: str = "newton", max_iterations: int = 2
     the first unsettled row; and ZeroUpdate when the step matrix's smallest
     singular value falls below _NORM_FLOOR times its largest.
     """
-    X, W, m, rng, scores, step, m2 = _extraction(U, score, None, variant, max_iterations, tolerance, seed, whitener)
-    _check_full_rank(m2)
+    X, W, m, rng, scores, step, *_ = _extraction(U, score, None, variant, max_iterations, tolerance, seed, whitener)
     G = _polar(rng.standard_normal((len(W), len(W))))
     if step:
         G, iterations, unsettled = _symmetric_search(step, G, 0, max_iterations, tolerance)
@@ -290,15 +298,6 @@ def symmetric_extract(U, score, variant: str = "newton", max_iterations: int = 2
                            index=int(unsettled[0]))
     G = fix_signs(G.T).T  # every step and the polar factor are odd in each row, so once is enough
     return Separator(matrix=G @ W, whitener=whitener, iterations=iterations)
-
-
-def _check_full_rank(m2: np.ndarray):
-    """RankDeficient unless every eigenvalue of E[u u^T] reaches the rank floor (see deflate_extract)."""
-    eigvals = _sorted_eigh(m2)[0]
-    if eigvals[-1] < _RANK_TOLERANCE * eigvals[0]:
-        rank = int(np.sum(eigvals >= _RANK_TOLERANCE * eigvals[0]))
-        raise RankDeficient(f"the data have rank {rank} below their {len(m2)} channels: "
-                            "some unit would lie in their null space")
 
 
 def _symmetric_search(step, G: np.ndarray, iterations: int, cap: int, tolerance: float):

@@ -219,12 +219,10 @@ def test_per_sample_update_is_the_one_column_batch_direction(mode):
     G = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
     u = rng.standard_normal(3)
     scores = [CubicScore(), TanhScore(), sign_switching(-1.0)]
-    g_scores = [TanhScore() for _ in range(3)] if mode == "anti_hebbian" else None
     cfg = AdaptConfig(step_size=0.01, mode=mode)
-    D = batch_update_direction(G, u[:, None], scores, mode, g_scores=g_scores)
+    D = batch_update_direction(G, u[:, None], scores, mode)
     expected = G + 0.01 * D
-    assert np.allclose(adaptive_update(G, u, scores, cfg, g_scores=g_scores), expected,
-                       rtol=0, atol=1e-12)
+    assert np.allclose(adaptive_update(G, u, scores, cfg), expected, rtol=0, atol=1e-12)
 
 
 def test_per_sample_update_matches_the_matrix_product_forms():
@@ -241,10 +239,20 @@ def test_per_sample_update_matches_the_matrix_product_forms():
         "relative": G + mu * (np.eye(3) - np.outer(f, y)) @ G,
         "anti_hebbian": G + mu * (np.eye(3) - np.outer(f, g)) @ G,
     }
-    g_scores = [TanhScore() for _ in range(3)]
     for mode, expected in forms.items():
-        got = adaptive_update(G, u, scores, AdaptConfig(step_size=mu, mode=mode), g_scores=g_scores)
+        got = adaptive_update(G, u, scores, AdaptConfig(step_size=mu, mode=mode))
         assert np.allclose(got, expected, rtol=0, atol=1e-12), mode
+
+
+def test_the_anti_hebbian_batch_direction_takes_tanh_as_its_second_family():
+    rng = np.random.default_rng(31)
+    G = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
+    U = rng.standard_normal((3, 50))
+    scores = [CubicScore(), TanhScore(), sign_switching(-1.0)]
+    Y = G @ U
+    F = np.array([s.f(Y[i]) for i, s in enumerate(scores)])
+    D = batch_update_direction(G, U, scores, "anti_hebbian")
+    assert np.allclose(D, G - F @ np.tanh(Y).T @ G / 50, rtol=0, atol=1e-12)
 
 
 def test_nonlinear_pca_update_projects_the_one_column_direction():
@@ -314,13 +322,12 @@ def test_run_separation_epoch_equals_repeated_per_sample_updates(mode, kind):
         whitener, Z = whiten(X)
         X = Z.data
     scores = [make_score(kind) for _ in range(3)]
-    g_scores = [TanhScore() for _ in range(3)]
     G = np.eye(3)
     for u in X.T:
         y = G @ u
         for i, s in enumerate(scores):
             s.update(y[i])
-        G = adaptive_update(G, u, scores, cfg, g_scores=g_scores)
+        G = adaptive_update(G, u, scores, cfg)
     expected = G if whitener is None else G @ whitener.matrix
     assert np.allclose(sep.matrix, expected, rtol=0, atol=1e-12)
 
