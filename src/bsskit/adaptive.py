@@ -3,8 +3,9 @@
 The criterion J(G) = ln|det G| + E[sum_i log phi_i(y_i)], y = G u, is climbed
 either with the plain gradient (matrix inversion per step), the relative
 gradient (equivariant, inversion-free), the anti-Hebbian variant, whose
-second family is tanh, or the nonlinear-PCA rule on prewhitened data.  A stability report evaluates
-the local conditions that decide whether a separating point attracts.
+second family is tanh, or the nonlinear-PCA rule on prewhitened data.  A
+stability report evaluates the local conditions that decide whether a
+separating point attracts.
 """
 
 from __future__ import annotations

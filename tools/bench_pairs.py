@@ -70,7 +70,8 @@ def run_tier1(checkout):
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                            "-p", "no:cacheprovider"],
-                          cwd=checkout, env={**_child_env(), "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True)
+                          cwd=checkout, env={**_child_env(), "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
 
@@ -143,8 +144,9 @@ def main(argv=None):
                         result, env, faults, wall = run_bench(checkouts[side], workload, args.seconds)
                         bench["env"].setdefault(side, {k: v for k, v in env.items() if k not in _ROUND_KEYS})
                         metrics = {name: m["value"] for name, m in result["metrics"].items()}
-                        runs.append({"pair": pair, "side": side, "first": first, "correct": result["correct"], "attempted": result["attempted"],
-                                     "failed": result["failed"], "minor_faults": faults, "wall_s": wall,
+                        runs.append({"pair": pair, "side": side, "first": first, "correct": result["correct"],
+                                     "attempted": result["attempted"], "failed": result["failed"],
+                                     "minor_faults": faults, "wall_s": wall,
                                      "metrics": metrics})
                         incorrect += result["correct"] is not True or result["failed"] != 0
                         print(f"{workload} pair {pair} {side}: correct={result['correct']} "
