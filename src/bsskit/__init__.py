@@ -43,7 +43,6 @@ from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     Diverged,
-    InvalidPath,
     InvalidSpec,
     LagTooLarge,
     NotConverged,

@@ -163,16 +163,21 @@ def jade_rotation(C: Cumulant4Tensor) -> np.ndarray:
     return joint_diagonalize([lam * v.reshape(N, N) for lam, v in zip(eigvals[:N], eigvecs.T[:N])])
 
 
-def jade(U) -> Separator:
-    """Separate raw data by joint diagonalization of cumulant slices.
+def _cumulant_separator(U, rotation) -> Separator:
+    """Sphere, estimate the fourth-order cumulant, rotate: the front end of every cumulant solver.
 
-    Fits a whitener to U and reads the cumulant tensor of the sphered data
+    Fits a whitener to U and reads the cumulant tensor C of the sphered data
     from U through it, as estimate_cum4 does, checking U once and building
-    no sphered copy.  The returned separator folds the whitener in.
+    no sphered copy.  ``rotation(C)`` returns the 2-D demixing rows in
+    sphered coordinates, and the returned separator folds the whitener in.
     """
     whitener, X = _fitted(U)
-    Q = jade_rotation(_cum4(X, whitener.mean, whitener.matrix))
-    return Separator(matrix=Q.T @ whitener.matrix, whitener=whitener)
+    return Separator(matrix=rotation(_cum4(X, whitener.mean, whitener.matrix)) @ whitener.matrix, whitener=whitener)
+
+
+def jade(U) -> Separator:
+    """Separate raw data by joint diagonalization of cumulant slices; see _cumulant_separator."""
+    return _cumulant_separator(U, lambda C: jade_rotation(C).T)
 
 
 def hoevd(C: Cumulant4Tensor):

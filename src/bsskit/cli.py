@@ -44,13 +44,13 @@ from dataclasses import replace
 import numpy as np
 
 from .adaptive import INITS, MODES, AdaptConfig, run_separation, stability_check
-from .algebraic import UNIMODAL_INITS, deterministic_cm, hopm, jacobi_diagonalize, jade, rank1_init, unimodal_equalizer
-from .errors import BssError, DimensionMismatch, Diverged, InvalidPath, InvalidSpec
+from .algebraic import (UNIMODAL_INITS, _cumulant_separator, deterministic_cm, hopm, jacobi_diagonalize, jade,
+                        rank1_init, unimodal_equalizer)
+from .errors import BssError, DimensionMismatch, Diverged, InvalidSpec
 from .fixedpoint import EXTRACTION_VARIANTS, cma, symmetric_extract
 from .metrics import _clamped_db, separation_index
-from .moments import _cum4
 from .scores import SCORE_KINDS, make_score
-from .second_order import _fitted, amuse, fit_whitener, whiten
+from .second_order import amuse, fit_whitener, whiten
 from .signals import SOURCE_KINDS, MixingModel, SourceSpec, generate_sources, mix
 
 # numpy refuses an array whose byte count exceeds the largest intp
@@ -304,9 +304,7 @@ def _jade(m, params):
 
 
 def _jacobi(m, params):
-    whitener, X = _fitted(m.U)  # U checked and its mean taken once, as jade does
-    Q = jacobi_diagonalize(_cum4(X, whitener.mean, whitener.matrix), **params)
-    return _index(m, Q @ whitener.matrix), None, None
+    return _index(m, _cumulant_separator(m.U, lambda C: jacobi_diagonalize(C, **params)).matrix), None, None
 
 
 def _cma(m, params):
@@ -316,10 +314,8 @@ def _cma(m, params):
 
 
 def _rank1_sea(m, params):
-    whitener, X = _fitted(m.U)
-    C = _cum4(X, whitener.mean, whitener.matrix)
-    _, g = hopm(C, init=rank1_init(C).g0, **params)
-    return _index(m, g @ whitener.matrix), None, None
+    sep = _cumulant_separator(m.U, lambda C: hopm(C, init=rank1_init(C).g0, **params)[1][None])
+    return _index(m, sep.matrix), None, None
 
 
 def _unimodal(m, params):
@@ -499,7 +495,7 @@ def _cmd_sweep(args):
     scenario, _ = load_scenario(args.scenario)
     kind = _key_type(args.param, scenario)
     if kind is None or kind == "matrix":
-        raise InvalidPath(f"cannot sweep over {args.param!r}")
+        raise ConfigError(f"cannot sweep over {args.param!r}")
     values = [_coerce(args.param, raw.strip(), kind) for raw in args.values.split(",")]
     # validate every point before running any
     grid = []
@@ -585,7 +581,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidPath, InvalidSpec) as exc:
+    except (ConfigError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

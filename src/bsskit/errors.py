@@ -67,7 +67,3 @@ class ZeroContraction(BssError):
 
 class RankDeficient(BssError):
     """Data matrix rank is too low to excite the estimator."""
-
-
-class InvalidPath(BssError):
-    """A sweep parameter path does not name a scenario field."""

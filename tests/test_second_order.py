@@ -21,14 +21,18 @@ from bsskit import (
     fix_signs,
     generate_sources,
     global_system,
+    hopm,
+    jacobi_diagonalize,
     jade,
     make_score,
     mix,
+    rank1_init,
     sample_covariance,
     separation_index,
     whiten,
 )
 from bsskit import signals
+from bsskit.algebraic import _cumulant_separator
 from bsskit.second_order import _RANK_TOLERANCE, _sorted_eigh
 
 
@@ -125,11 +129,20 @@ def whitened_tanh_units(U):
     return deflate_extract(U, lambda: make_score("tanh"), 2, whitener=fit_whitener(U.copy()))
 
 
-@pytest.mark.parametrize("step", [whiten, amuse, jade, whitened_tanh_units])
+def jacobi_separator(U):  # the CLI's jacobi
+    return _cumulant_separator(U, jacobi_diagonalize)
+
+
+def rank1_sea_separator(U):  # the CLI's rank1_sea: one row
+    return _cumulant_separator(U, lambda C: hopm(C, init=rank1_init(C).g0)[1][None])
+
+
+@pytest.mark.parametrize("step", [whiten, amuse, jade, jacobi_separator, rank1_sea_separator, whitened_tanh_units])
 def test_a_bare_array_is_checked_once(monkeypatch, step):
     # the finiteness pass reads every sample, so a bare array pays for it once;
     # the sphered output whiten adopts is checked as well, as its own array.
-    # Streamed deflation units step on the data deflate_extract checked.
+    # The cumulant front end reads its cumulant from the data it checked, and
+    # streamed deflation units step on the data deflate_extract checked.
     U = ar_pair(3, 5_000).data.copy()
     checked = []
 
@@ -139,6 +152,15 @@ def test_a_bare_array_is_checked_once(monkeypatch, step):
     monkeypatch.setattr(signals, "_checked_signal", counted)
     step(U)
     assert checked.count(True) == 1
+
+
+def test_a_one_row_cumulant_separator_applies():
+    specs = [SourceSpec("uniform", seed=s) for s in range(3)]
+    H = np.random.default_rng(4).standard_normal((3, 3))
+    U = mix(MixingModel("static", matrix=H), generate_sources(specs, 4_000))
+    sep = rank1_sea_separator(U)
+    assert sep.matrix.shape == (1, 3)
+    assert sep.apply(U).data.shape == (1, 4_000)
 
 
 def test_amuse_separates_ar_sources():
